@@ -3,111 +3,79 @@
 #include <memory>
 
 #include "analysis/analyzer.h"
-#include "core/repair_memo.h"
-#include "core/repair_tuple.h"
+#include "core/shard_repairer.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/thread_pool.h"
 
 namespace certfix {
 
-namespace {
-/// Rows staged per probe block: enough independent probes in flight to
-/// cover DRAM latency, small enough to stay within L1 and the prefetch
-/// queues.
-constexpr size_t kProbeBlock = 32;
-}  // namespace
-
 void BatchRepair::RepairRange(const Relation& data, AttrSet trusted,
-                              AttrSet all, size_t begin, size_t end,
+                              size_t begin, size_t end,
                               const PoolPtr& local_pool,
                               ShardResult* out) const {
   CERTFIX_SPAN("batch.shard_repair");
-  // One bridge for the whole range: every row's cells live in the same
+  // One repairer for the whole range: every row's cells live in the same
   // pool (the shard-local one, or the input's on the sequential path), so
   // each distinct value is hashed into master-pool id space once.
-  const PoolPtr& probe_pool = local_pool != nullptr ? local_pool : data.pool();
-  PoolBridge bridge(probe_pool.get(), sat_->index().pool().get());
-  std::unique_ptr<RepairMemo> memo;
-  if (options_.use_memo) {
-    memo = std::make_unique<RepairMemo>(sat_->rules(), trusted);
-  }
-  const std::vector<size_t> first_round = sat_->FirstRoundProbeRules(trusted);
-  std::vector<Tuple> rows;
-  rows.reserve(kProbeBlock);
-  for (size_t base = begin; base < end; base += kProbeBlock) {
-    const size_t n = std::min(kProbeBlock, end - base);
-    rows.clear();
-    // Stage: materialize the block's rows and push their memo buckets and
-    // round-1 value-summary buckets into the cache...
-    for (size_t j = 0; j < n; ++j) {
-      Tuple row = local_pool != nullptr
-                      ? data.at(base + j).RebasedTo(local_pool)
-                      : data.at(base + j);
-      if (memo != nullptr) memo->Prefetch(row);
-      sat_->index().PrefetchRhsProbes(row, first_round, &bridge);
-      rows.push_back(std::move(row));
-    }
-    // ...then resolve: repair in row order while the lines are in flight.
-    for (size_t j = 0; j < n; ++j) {
-      const size_t i = base + j;
-      TupleRepair r = RepairOneTuple(*sat_, rows[j], trusted, all, &bridge,
-                                     nullptr, memo.get());
-      switch (r.report.kind) {
-        case FixClass::kConflicting:
-          ++out->conflicting;
-          out->conflict_rows.push_back(i);
-          continue;
-        case FixClass::kFullyCovered:
-          ++out->fully_covered;
-          break;
-        case FixClass::kPartial:
-          ++out->partial;
-          break;
-        case FixClass::kUntouched:
-          ++out->untouched;
-          break;
-      }
-      out->cells_changed += r.report.cells_changed;
-      if (r.report.cells_changed > 0) {
-        out->changed.emplace_back(i, std::move(r.fixed));
-      }
-    }
-  }
-  if (memo != nullptr) {
-    out->memo_hits = memo->hits();
-    out->memo_misses = memo->misses();
-  }
+  ShardRepairer repairer(*sat_, trusted, options_.use_memo,
+                         local_pool != nullptr ? local_pool : data.pool());
+  repairer.Run(
+      end - begin, /*log_probes=*/false,
+      [&](size_t j) {
+        return local_pool != nullptr
+                   ? data.at(begin + j).RebasedTo(local_pool)
+                   : data.at(begin + j);
+      },
+      [&](ShardRepairer::Outcome& o) {
+        const size_t i = begin + o.index;
+        const FixReport& report = o.repair.report;
+        switch (report.kind) {
+          case FixClass::kConflicting:
+            ++out->conflicting;
+            out->conflict_rows.push_back(i);
+            return;
+          case FixClass::kFullyCovered:
+            ++out->fully_covered;
+            break;
+          case FixClass::kPartial:
+            ++out->partial;
+            break;
+          case FixClass::kUntouched:
+            ++out->untouched;
+            break;
+        }
+        out->cells_changed += report.cells_changed;
+        if (report.cells_changed > 0) {
+          out->changed.emplace_back(i, std::move(o.repair.fixed));
+        }
+      });
+  out->memo_hits = repairer.memo_hits();
+  out->memo_misses = repairer.memo_misses();
 }
 
 BatchRepairResult BatchRepair::Repair(const Relation& data,
                                       AttrSet trusted) const {
   BatchRepairResult result;
   result.repaired = data;
-  AttrSet all = sat_->rules().r_schema()->AllAttrs();
 
   size_t threads = options_.num_threads == 0 ? DefaultParallelism()
                                              : options_.num_threads;
-  std::vector<ShardResult> shards;
-  if (threads <= 1) {
-    // Sequential reference path: the original tuple-at-a-time loop, no
-    // rebasing (rows keep interning into the shared input pool).
-    shards.resize(1);
-    RepairRange(data, trusted, all, 0, data.size(), nullptr, &shards[0]);
-  } else {
-    // Partition -> repair-shard -> deterministic merge. Shards are
-    // contiguous row ranges; each worker interns into its own local pool
-    // and fills its own ShardResult slot, so no pool is written
-    // concurrently. Merging in shard order makes the output, counters,
-    // and conflict_rows independent of scheduling.
-    shards.resize(NumChunks(data.size(), threads, options_.chunk_size));
-    ParallelFor(data.size(), threads, options_.chunk_size,
-                [&](size_t chunk, size_t begin, size_t end) {
-                  PoolPtr local = std::make_shared<ValuePool>();
-                  RepairRange(data, trusted, all, begin, end, local,
-                              &shards[chunk]);
-                });
-  }
+  // Partition -> repair-shard -> deterministic merge. Shards are
+  // contiguous row ranges; each worker interns into its own local pool
+  // and fills its own ShardResult slot, so no pool is written
+  // concurrently. Merging in shard order makes the output, counters, and
+  // conflict_rows independent of scheduling. One thread is the original
+  // sequential loop: one inline chunk, no rebase (rows keep interning
+  // into the input pool).
+  const size_t chunk_size = threads > 1 ? options_.chunk_size : 0;
+  std::vector<ShardResult> shards(NumChunks(data.size(), threads, chunk_size));
+  ParallelFor(data.size(), threads, chunk_size,
+              [&](size_t chunk, size_t begin, size_t end) {
+                PoolPtr local =
+                    threads > 1 ? std::make_shared<ValuePool>() : nullptr;
+                RepairRange(data, trusted, begin, end, local, &shards[chunk]);
+              });
   CERTFIX_SPAN("batch.merge");
   for (ShardResult& s : shards) {
     result.tuples_fully_covered += s.fully_covered;

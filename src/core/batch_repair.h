@@ -114,8 +114,8 @@ class BatchRepair {
   /// strictly single-writer. Deferring it needs copy-on-write tuple
   /// pools (rebase on first applied move); candidate future optimization
   /// if profiles show clean-row rebasing dominating parallel repair.
-  void RepairRange(const Relation& data, AttrSet trusted, AttrSet all,
-                   size_t begin, size_t end, const PoolPtr& local_pool,
+  void RepairRange(const Relation& data, AttrSet trusted, size_t begin,
+                   size_t end, const PoolPtr& local_pool,
                    ShardResult* out) const;
 
   const Saturator* sat_;

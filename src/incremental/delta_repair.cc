@@ -1,76 +1,43 @@
 #include "incremental/delta_repair.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "analysis/analyzer.h"
+#include "core/dependency_graph.h"
 #include "core/repair_memo.h"
 #include "telemetry/trace.h"
-#include "util/thread_pool.h"
 
 namespace certfix {
 
-namespace {
-/// Jobs staged per probe block (see batch_repair.cc): one PopBatch hands
-/// a worker up to this many tuples whose memo and master-index buckets
-/// are prefetched together before any repair runs.
-constexpr size_t kProbeBlock = 32;
-}  // namespace
-
-DeltaMetrics::DeltaMetrics() {
-  telemetry::Registry* reg = telemetry::Registry::Global();
-  deltas_applied = reg->GetCounter("delta.deltas_applied");
-  tuples_repaired = reg->GetCounter("delta.tuples_repaired");
-  tuples_invalidated = reg->GetCounter("delta.tuples_invalidated");
-  master_rebuilds = reg->GetCounter("delta.master_rebuilds");
-  noop_updates = reg->GetCounter("delta.noop_updates");
-  memo_hits = reg->GetCounter("delta.memo_hits");
-  memo_misses = reg->GetCounter("delta.memo_misses");
-  pool_recycles = reg->GetCounter("delta.pool_recycles");
-  fully_covered = reg->GetGauge("delta.fully_covered");
-  partial = reg->GetGauge("delta.partial");
-  untouched = reg->GetGauge("delta.untouched");
-  conflicting = reg->GetGauge("delta.conflicting");
-  cells_changed = reg->GetGauge("delta.cells_changed");
-  max_reorder_global = reg->GetMaxGauge("delta.max_reorder");
-  baseline.deltas_applied = deltas_applied->Value();
-  baseline.tuples_repaired = tuples_repaired->Value();
-  baseline.tuples_invalidated = tuples_invalidated->Value();
-  baseline.master_rebuilds = master_rebuilds->Value();
-  baseline.noop_updates = noop_updates->Value();
-  baseline.memo_hits = memo_hits->Value();
-  baseline.memo_misses = memo_misses->Value();
-  baseline.pool_recycles = pool_recycles->Value();
-  baseline.fully_covered = static_cast<uint64_t>(fully_covered->Value());
-  baseline.partial = static_cast<uint64_t>(partial->Value());
-  baseline.untouched = static_cast<uint64_t>(untouched->Value());
-  baseline.conflicting = static_cast<uint64_t>(conflicting->Value());
-  baseline.cells_changed = static_cast<uint64_t>(cells_changed->Value());
-}
-
-DeltaRepairStats DeltaMetrics::Snapshot(uint64_t rows) const {
-  DeltaRepairStats s;
-  s.deltas_applied = deltas_applied->Value() - baseline.deltas_applied;
-  s.tuples_repaired = tuples_repaired->Value() - baseline.tuples_repaired;
-  s.tuples_invalidated =
-      tuples_invalidated->Value() - baseline.tuples_invalidated;
-  s.master_rebuilds = master_rebuilds->Value() - baseline.master_rebuilds;
-  s.noop_updates = noop_updates->Value() - baseline.noop_updates;
-  s.rows = rows;
-  s.fully_covered =
-      static_cast<uint64_t>(fully_covered->Value()) - baseline.fully_covered;
-  s.partial = static_cast<uint64_t>(partial->Value()) - baseline.partial;
-  s.untouched =
-      static_cast<uint64_t>(untouched->Value()) - baseline.untouched;
-  s.conflicting =
-      static_cast<uint64_t>(conflicting->Value()) - baseline.conflicting;
-  s.cells_changed =
-      static_cast<uint64_t>(cells_changed->Value()) - baseline.cells_changed;
-  s.memo_hits = memo_hits->Value() - baseline.memo_hits;
-  s.memo_misses = memo_misses->Value() - baseline.memo_misses;
-  s.max_reorder = max_reorder.Value();
-  s.pool_recycles = pool_recycles->Value() - baseline.pool_recycles;
-  return s;
-}
+DeltaMetrics::DeltaMetrics()
+    : deltas_applied(baseline.BindCounter("delta.deltas_applied",
+                                          &DeltaRepairStats::deltas_applied)),
+      tuples_repaired(baseline.BindCounter(
+          "delta.tuples_repaired", &DeltaRepairStats::tuples_repaired)),
+      tuples_invalidated(baseline.BindCounter(
+          "delta.tuples_invalidated", &DeltaRepairStats::tuples_invalidated)),
+      master_rebuilds(baseline.BindCounter(
+          "delta.master_rebuilds", &DeltaRepairStats::master_rebuilds)),
+      noop_updates(baseline.BindCounter("delta.noop_updates",
+                                        &DeltaRepairStats::noop_updates)),
+      memo_hits(baseline.BindCounter("delta.memo_hits",
+                                     &DeltaRepairStats::memo_hits)),
+      memo_misses(baseline.BindCounter("delta.memo_misses",
+                                       &DeltaRepairStats::memo_misses)),
+      pool_recycles(baseline.BindCounter("delta.pool_recycles",
+                                         &DeltaRepairStats::pool_recycles)),
+      by_class{baseline.BindGauge("delta.fully_covered",
+                                  &DeltaRepairStats::fully_covered),
+               baseline.BindGauge("delta.partial", &DeltaRepairStats::partial),
+               baseline.BindGauge("delta.untouched",
+                                  &DeltaRepairStats::untouched),
+               baseline.BindGauge("delta.conflicting",
+                                  &DeltaRepairStats::conflicting)},
+      cells_changed(baseline.BindGauge("delta.cells_changed",
+                                       &DeltaRepairStats::cells_changed)),
+      max_reorder(
+          telemetry::Registry::Global()->GetMaxGauge("delta.max_reorder")) {}
 
 namespace {
 /// Private master copy for the copying constructor: the engine mutates
@@ -98,13 +65,15 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
       schema_(rules.r_schema()),
       master_schema_(rules.rm_schema()),
       trusted_(trusted),
-      all_(rules.r_schema()->AllAttrs()),
       options_(options),
-      graph_(rules),
-      summary_(graph_, trusted),
+      summary_(DependencyGraph(rules), trusted),
+      all_rules_(rules.size()),
       master_(std::move(master)),
       input_(schema_),
-      repaired_(schema_) {
+      repaired_(schema_),
+      runtime_(options.num_shards, options.queue_capacity,
+               ShardRepairer::block_rows()) {
+  std::iota(all_rules_.begin(), all_rules_.end(), 0);
   index_ = std::make_unique<MasterIndex>(*rules_, master_, options_.index_kind);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
 
@@ -115,47 +84,26 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
                                  "DeltaRepairEngine");
   if (!precheck_status_.ok()) return;
 
-  size_t shards = options_.num_shards == 0 ? DefaultParallelism()
-                                           : options_.num_shards;
-  shards = std::min(shards, std::max<size_t>(16, 2 * DefaultParallelism()));
-  if (options_.queue_capacity < 1) options_.queue_capacity = 1;
-  if (shards > 1) {
-    window_ = static_cast<uint64_t>(shards) * options_.queue_capacity;
-    queues_.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      queues_.push_back(
-          std::make_unique<BoundedQueue<Job>>(options_.queue_capacity));
-    }
-    workers_.reserve(shards);
-    try {
-      for (size_t s = 0; s < shards; ++s) {
-        workers_.emplace_back([this, s] { WorkerLoop(s); });
-      }
-    } catch (const std::system_error&) {
-      // Thread-resource exhaustion mid-spawn (same stance as the stream
-      // engine): run with the workers that did start, or fall back to the
-      // inline path when none did.
-      queues_.resize(workers_.size());
-      window_ = static_cast<uint64_t>(queues_.size()) * options_.queue_capacity;
-    }
+  runtime_.Start([this](size_t shard, std::vector<Job>& batch) {
+    RepairBatch(shards_[shard], batch);
+  });
+  // Workers reach shards_ only with a popped job, and no job can be
+  // pushed before this constructor returns.
+  shards_.reserve(runtime_.num_shards());
+  for (size_t s = 0; s < runtime_.num_shards(); ++s) {
+    shards_.push_back({ShardRepairer(*sat_, trusted_, options_.use_memo),
+                       sat_epoch_});
   }
 }
 
 DeltaRepairEngine::~DeltaRepairEngine() {
-  for (auto& q : queues_) q->Close();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-}
-
-size_t DeltaRepairEngine::num_shards() const {
-  return queues_.empty() ? 1 : queues_.size();
+  // Workers apply into the members below; stop them first.
+  runtime_.Close();
 }
 
 Status DeltaRepairEngine::CheckLive() {
   if (!precheck_status_.ok()) return precheck_status_;
-  std::lock_guard<std::mutex> lock(merge_mutex_);
-  if (failed_) {
+  if (runtime_.failed()) {
     return Status::Internal(
         "delta engine worker failed; Flush() rethrows the cause");
   }
@@ -182,21 +130,6 @@ Status DeltaRepairEngine::InputSchemaCheck(const Tuple& t) const {
 // ---------------------------------------------------------------------------
 // Pipeline
 
-bool DeltaRepairEngine::Admit(uint64_t* seq) {
-  if (workers_.empty()) {
-    *seq = next_seq_++;
-    return true;
-  }
-  std::unique_lock<std::mutex> lock(merge_mutex_);
-  if (in_flight_ >= window_) {
-    progress_.wait(lock, [this] { return in_flight_ < window_ || failed_; });
-  }
-  if (failed_) return false;
-  *seq = next_seq_++;
-  ++in_flight_;
-  return true;
-}
-
 Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   CERTFIX_SPAN("delta.ingest");
   metrics_.tuples_repaired->Increment();
@@ -209,16 +142,7 @@ Status DeltaRepairEngine::EnqueueRepair(uint32_t slot) {
   for (size_t a = 0; a < schema_->num_attrs(); ++a) {
     job.values.push_back(input_.Cell(slot, static_cast<AttrId>(a)));
   }
-  if (!Admit(&job.seq)) {
-    return Status::Internal("delta engine worker failed");
-  }
-  if (workers_.empty()) {
-    RepairInline(job);
-    return Status::OK();
-  }
-  if (!queues_[slot % queues_.size()]->Push(std::move(job))) {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    --in_flight_;
+  if (!runtime_.Push(std::move(job), [](const Job& j) { return j.slot; })) {
     return Status::Internal("delta engine worker failed");
   }
   return Status::OK();
@@ -247,178 +171,33 @@ void DeltaRepairEngine::ApplyMemoFlush(RepairMemo* memo,
   }
 }
 
-void DeltaRepairEngine::RepairInline(const Job& job) {
+void DeltaRepairEngine::RepairBatch(Shard& shard, std::vector<Job>& batch) {
   CERTFIX_SPAN("delta.shard_repair");
-  if (options_.use_memo && local_memo_ == nullptr) {
-    local_memo_ = std::make_unique<RepairMemo>(*rules_, trusted_);
-  }
-  if (local_pool_ == nullptr) local_pool_ = std::make_shared<ValuePool>();
-  if (local_epoch_ != job.epoch || local_bridge_ == nullptr) {
-    // Master rebuilt: the pool (and the memo keyed on its ids) survive;
-    // only the bridge cache and the flushed memo entries go. The caller
-    // thread runs this, so reading memo_flush_head_ directly is safe.
-    local_bridge_ = std::make_unique<PoolBridge>(
-        local_pool_.get(), job.sat->index().pool().get());
-    if (local_memo_ != nullptr) {
-      ApplyMemoFlush(local_memo_.get(), memo_flush_head_.get(), local_epoch_);
+  ShardRepairer& repairer = shard.repairer;
+  // Master deltas drain the pipeline before the epoch advances, so one
+  // check covers the batch; the ring's mutex published the new saturator.
+  const Job& head = batch.front();
+  if (shard.epoch != head.epoch) {
+    repairer.Rebind(*head.sat);
+    if (repairer.memo() != nullptr) {
+      ApplyMemoFlush(repairer.memo(), head.flush.get(), shard.epoch);
     }
-    local_epoch_ = job.epoch;
+    shard.epoch = head.epoch;
   }
-  if (local_pool_->size() > options_.pool_recycle_values) {
-    local_pool_ = std::make_shared<ValuePool>();
-    local_bridge_ = std::make_unique<PoolBridge>(
-        local_pool_.get(), job.sat->index().pool().get());
-    if (local_memo_ != nullptr) local_memo_->Clear();
+  if (repairer.RecycleIfOver(options_.pool_recycle_values)) {
     metrics_.pool_recycles->Increment();
   }
-  Tuple row(schema_, local_pool_);
-  for (size_t a = 0; a < job.values.size(); ++a) {
-    row.Set(static_cast<AttrId>(a), job.values[a]);
-  }
-  ProbeLog probes;
-  const uint64_t hits_before =
-      local_memo_ != nullptr ? local_memo_->hits() : 0;
-  TupleRepair r = RepairOneTuple(*job.sat, row, trusted_, all_,
-                                 local_bridge_.get(), &probes,
-                                 local_memo_.get());
-  Done done;
-  done.seq = job.seq;
-  done.slot = job.slot;
-  done.report = r.report;
-  done.probes = std::move(probes.hashes);
-  if (local_memo_ != nullptr) {
-    done.memo = local_memo_->hits() > hits_before ? 1 : 0;
-  }
-  const Tuple& emit = r.report.conflicting() ? row : r.fixed;
-  done.fixed.reserve(schema_->num_attrs());
-  for (size_t a = 0; a < schema_->num_attrs(); ++a) {
-    done.fixed.push_back(emit.at(static_cast<AttrId>(a)));
-  }
-  std::lock_guard<std::mutex> lock(merge_mutex_);
-  ApplyResult(done);
-  ++next_apply_;
-}
-
-void DeltaRepairEngine::WorkerLoop(size_t shard) {
-  try {
-    PoolPtr pool = std::make_shared<ValuePool>();
-    std::unique_ptr<PoolBridge> bridge;
-    std::unique_ptr<RepairMemo> memo;
-    if (options_.use_memo) {
-      memo = std::make_unique<RepairMemo>(*rules_, trusted_);
-    }
-    uint64_t epoch = ~0ULL;
-    std::vector<size_t> first_round;
-    std::vector<Job> batch;
-    std::vector<Tuple> rows;
-    batch.reserve(kProbeBlock);
-    rows.reserve(kProbeBlock);
-    while (queues_[shard]->PopBatch(&batch, kProbeBlock) > 0) {
-      CERTFIX_SPAN("delta.shard_repair");
-      // Master deltas drain the pipeline before the epoch advances, so a
-      // ring never holds jobs of two epochs at once — one check covers
-      // the whole batch.
-      const Saturator& sat = *batch.front().sat;
-      if (epoch != batch.front().epoch || bridge == nullptr) {
-        // New epoch = the master (and its pool) changed under a rebuild
-        // barrier; the ring's mutex published the new saturator. The
-        // shard pool (and the memo keyed on its ids) survive — only the
-        // bridge cache and the flushed memo entries go.
-        bridge = std::make_unique<PoolBridge>(pool.get(),
-                                              sat.index().pool().get());
-        if (memo != nullptr) {
-          ApplyMemoFlush(memo.get(), batch.front().flush.get(), epoch);
-        }
-        epoch = batch.front().epoch;
-        first_round = sat.FirstRoundProbeRules(trusted_);
-      }
-      // The recycle check runs once per batch, before any row is built:
-      // a mid-batch reset would mix pools within one staged block.
-      if (pool->size() > options_.pool_recycle_values) {
-        pool = std::make_shared<ValuePool>();
-        bridge = std::make_unique<PoolBridge>(pool.get(),
-                                              sat.index().pool().get());
-        if (memo != nullptr) memo->Clear();
-        metrics_.pool_recycles->Increment();
-      }
-      // Stage: materialize the batch's rows, prefetching each row's memo
-      // bucket and round-1 value-summary buckets...
-      for (Job& job : batch) {
-        Tuple row(schema_, pool);
-        for (size_t a = 0; a < job.values.size(); ++a) {
-          row.Set(static_cast<AttrId>(a), std::move(job.values[a]));
-        }
-        if (memo != nullptr) memo->Prefetch(row);
-        sat.index().PrefetchRhsProbes(row, first_round, bridge.get());
-        rows.push_back(std::move(row));
-      }
-      // ...then resolve: repair in seq order while lines are in flight.
-      for (size_t j = 0; j < rows.size(); ++j) {
-        const Tuple& row = rows[j];
-        ProbeLog probes;
-        const uint64_t hits_before = memo != nullptr ? memo->hits() : 0;
-        TupleRepair r = RepairOneTuple(sat, row, trusted_, all_,
-                                       bridge.get(), &probes, memo.get());
-        Done done;
-        done.seq = batch[j].seq;
-        done.slot = batch[j].slot;
-        done.report = r.report;
-        done.probes = std::move(probes.hashes);
-        if (memo != nullptr) {
-          done.memo = memo->hits() > hits_before ? 1 : 0;
-        }
-        // Results cross the merge boundary as owned Values (conflicting
-        // rows re-emit their input), exactly like the stream engine's
-        // records.
-        const Tuple& emit = r.report.conflicting() ? row : r.fixed;
-        done.fixed.reserve(schema_->num_attrs());
-        for (size_t a = 0; a < schema_->num_attrs(); ++a) {
-          done.fixed.push_back(emit.at(static_cast<AttrId>(a)));
-        }
-        ApplyOrdered(std::move(done));
-      }
-      batch.clear();
-      rows.clear();
-    }
-  } catch (...) {
-    Fail(std::current_exception());
-  }
-}
-
-void DeltaRepairEngine::ApplyOrdered(Done done) {
-  CERTFIX_SPAN("delta.merge");
-  std::unique_lock<std::mutex> lock(merge_mutex_);
-  pending_.emplace(done.seq, std::move(done));
-  metrics_.NoteReorderDepth(pending_.size());
-  uint64_t applied = 0;
-  while (!pending_.empty() && pending_.begin()->first == next_apply_) {
-    Done d = std::move(pending_.begin()->second);
-    pending_.erase(pending_.begin());
-    ApplyResult(d);
-    ++next_apply_;
-    ++applied;
-  }
-  if (applied > 0) {
-    in_flight_ -= applied;
-    progress_.notify_all();
-  }
-}
-
-void DeltaRepairEngine::AddClass(uint8_t cls, int delta) {
-  switch (static_cast<FixClass>(cls)) {
-    case FixClass::kFullyCovered:
-      metrics_.fully_covered->Add(delta);
-      break;
-    case FixClass::kPartial:
-      metrics_.partial->Add(delta);
-      break;
-    case FixClass::kUntouched:
-      metrics_.untouched->Add(delta);
-      break;
-    case FixClass::kConflicting:
-      metrics_.conflicting->Add(delta);
-      break;
-  }
+  repairer.Run(
+      batch.size(), /*log_probes=*/true,
+      [&](size_t i) { return repairer.MakeRow(batch[i].values); },
+      [&](ShardRepairer::Outcome& o) {
+        const Job& job = batch[o.index];
+        Done done{job.seq, job.slot, o.OwnedCells(), o.repair.report,
+                  std::move(o.probes.hashes), o.memo};
+        CERTFIX_SPAN("delta.merge");
+        runtime_.Complete(std::move(done),
+                          [this](Done& d) { ApplyResult(d); });
+      });
 }
 
 void DeltaRepairEngine::UnregisterProbes(uint32_t slot) {
@@ -455,36 +234,21 @@ void DeltaRepairEngine::ApplyResult(Done& d) {
     }
   }
 
-  if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
+  if (slot_class_[slot] != kPendingClass) {
+    metrics_.by_class[slot_class_[slot]]->Add(-1);
+  }
   slot_class_[slot] = static_cast<uint8_t>(d.report.kind);
-  AddClass(slot_class_[slot], +1);
+  metrics_.by_class[slot_class_[slot]]->Add(1);
   metrics_.cells_changed->Add(static_cast<int64_t>(d.report.cells_changed) -
                               slot_cells_[slot]);
   slot_cells_[slot] = static_cast<uint32_t>(d.report.cells_changed);
 }
 
-void DeltaRepairEngine::Fail(std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    if (!first_error_) first_error_ = error;
-    failed_ = true;
-  }
-  progress_.notify_all();
-  for (auto& q : queues_) q->Close();
-}
-
 void DeltaRepairEngine::DrainPipeline() {
-  if (!workers_.empty()) {
-    std::unique_lock<std::mutex> lock(merge_mutex_);
-    progress_.wait(lock, [this] { return in_flight_ == 0 || failed_; });
+  runtime_.Drain();
+  if (std::exception_ptr error = runtime_.TakeError()) {
+    std::rethrow_exception(error);
   }
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void DeltaRepairEngine::Flush() {
@@ -546,7 +310,7 @@ Status DeltaRepairEngine::Insert(const Tuple& t) {
   uint32_t slot = static_cast<uint32_t>(input_.size());
   CERTFIX_RETURN_IF_ERROR(input_.Append(t));
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    auto lock = runtime_.LockMerge();
     // Placeholder: input values until the job lands.
     repaired_.Append(t);  // contract-lint: allow(status-discard) schema-checked on entry
     slot_probes_.emplace_back();
@@ -592,9 +356,11 @@ Status DeltaRepairEngine::Delete(size_t pos) {
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
   dirty_slots_.erase(slot);
   {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
+    auto lock = runtime_.LockMerge();
     UnregisterProbes(slot);
-    if (slot_class_[slot] != kPendingClass) AddClass(slot_class_[slot], -1);
+    if (slot_class_[slot] != kPendingClass) {
+      metrics_.by_class[slot_class_[slot]]->Add(-1);
+    }
     metrics_.cells_changed->Add(-static_cast<int64_t>(slot_cells_[slot]));
     slot_cells_[slot] = 0;
     slot_class_[slot] = kDeadClass;
@@ -615,6 +381,7 @@ Status DeltaRepairEngine::Load(const Relation& input) {
 
 void DeltaRepairEngine::InvalidateMasterRow(
     size_t row, const std::vector<size_t>& rule_idxs) {
+  auto lock = runtime_.LockMerge();
   for (size_t i : rule_idxs) {
     uint64_t h = MasterProbeKeyHash(i, master_, row, rules_->at(i).lhsm());
     // Every affected hash joins the next epoch's memo flush, whether or
@@ -635,13 +402,8 @@ Status DeltaRepairEngine::MasterInsert(const Tuple& t) {
   CERTFIX_RETURN_IF_ERROR(MasterSchemaCheck(t));
   DrainPipeline();
   CERTFIX_RETURN_IF_ERROR(master_.Append(t));
-  {
-    // A new master row can answer any rule's probe for its key.
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    std::vector<size_t> every(rules_->size());
-    for (size_t i = 0; i < every.size(); ++i) every[i] = i;
-    InvalidateMasterRow(master_.size() - 1, every);
-  }
+  // A new master row can answer any rule's probe for its key.
+  InvalidateMasterRow(master_.size() - 1, all_rules_);
   index_stale_ = true;
   metrics_.deltas_applied->Increment();
   return Status::OK();
@@ -674,15 +436,9 @@ Status DeltaRepairEngine::MasterUpdate(size_t pos, const Tuple& t) {
   // differently — and only for the row's old or new key. The summary's
   // precomputed per-attribute rule lists front the graph walk here.
   std::vector<size_t> affected = summary_.RulesReadingMasterAttrs(changed);
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    InvalidateMasterRow(pos, affected);  // old projections
-  }
+  InvalidateMasterRow(pos, affected);  // old projections
   master_.UpdateRow(pos, t);
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    InvalidateMasterRow(pos, affected);  // new projections
-  }
+  InvalidateMasterRow(pos, affected);  // new projections
   if (!affected.empty()) index_stale_ = true;
   return Status::OK();
 }
@@ -695,12 +451,7 @@ Status DeltaRepairEngine::MasterDelete(size_t pos) {
         " out of range (rows: " + std::to_string(master_.size()) + ")");
   }
   DrainPipeline();
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    std::vector<size_t> every(rules_->size());
-    for (size_t i = 0; i < every.size(); ++i) every[i] = i;
-    InvalidateMasterRow(pos, every);
-  }
+  InvalidateMasterRow(pos, all_rules_);
   // Relations have no erase; rebuild the master without the row. The
   // MasterIndex rebuild right after is O(|Dm|) anyway. Old index/saturator
   // reference the dropped relation — destroy them before it goes away.
@@ -793,7 +544,12 @@ std::vector<size_t> DeltaRepairEngine::ConflictPositions() {
 
 DeltaRepairStats DeltaRepairEngine::stats() {
   Flush();
-  return metrics_.Snapshot(order_.size());
+  DeltaRepairStats s;
+  metrics_.baseline.Fill(&s);
+  s.rows = order_.size();
+  s.max_reorder = runtime_.max_reorder();
+  metrics_.max_reorder->Note(s.max_reorder);
+  return s;
 }
 
 }  // namespace certfix

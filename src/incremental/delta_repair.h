@@ -20,22 +20,19 @@
 ///  * A master upsert can only change the answers of probes whose key
 ///    matches the touched master row's old or new (Xm, Bm) projection, for
 ///    rules whose master side reads a changed attribute
-///    (DependencyGraph::RulesReadingMasterAttrs). Every repair records its
+///    (RuleSetSummary::RulesReadingMasterAttrs). Every repair records its
 ///    probe set as (rule, key) hashes (ProbeLog, fix_state.h); the engine
 ///    keeps the reverse map hash -> tuples, so a master delta re-repairs
 ///    exactly the tuples that depended on an affected probe — hash
 ///    collisions over-invalidate (sound), never under-invalidate.
 ///
-/// Pipeline: mutations ride the same machinery as the streaming engine —
-/// repair jobs are admitted with a sequence number, routed over bounded
-/// rings (BoundedQueue, backpressure) to shard workers running
-/// RepairOneTuple with shard-local pools, and results are applied to the
-/// maintained state strictly in seq order under one merge lock, so the
-/// maintained relation, all counters, and the probe index are
-/// byte-identical at any worker count. Master deltas are barriers: the
-/// engine drains in-flight jobs, mutates the master, and rebuilds the
-/// MasterIndex/Saturator lazily before the next repair (consecutive master
-/// deltas share one rebuild).
+/// Pipeline: repair jobs ride the shard runtime (stream/shard_runtime.h),
+/// routed by slot to workers that repair through a ShardRepairer, and
+/// are applied in seq order under the runtime's merge lock, so the
+/// maintained state is byte-identical at any worker count (one shard is
+/// one worker). Master deltas are barriers: the engine drains in-flight
+/// jobs, mutates the master, and rebuilds the MasterIndex/Saturator
+/// lazily before the next repair (consecutive master deltas share one).
 ///
 /// Memory: deleted rows leave tombstoned slots in the backing store (live
 /// order is an indirection vector); a long-lived engine under heavy churn
@@ -49,33 +46,26 @@
 #ifndef CERTFIX_INCREMENTAL_DELTA_REPAIR_H_
 #define CERTFIX_INCREMENTAL_DELTA_REPAIR_H_
 
-#include <condition_variable>
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/analyze_mode.h"
 #include "analysis/rule_summary.h"
-#include "core/dependency_graph.h"
 #include "core/master_index.h"
-#include "core/repair_tuple.h"
-#include "stream/bounded_queue.h"
+#include "core/shard_repairer.h"
 #include "stream/delta_source.h"
+#include "stream/shard_runtime.h"
 #include "telemetry/metrics.h"
 
 namespace certfix {
 
-class RepairMemo;
-
 /// \brief Execution knobs, mirroring StreamOptions.
 struct DeltaRepairOptions {
-  /// Shard-worker count. 1 = inline sequential repair (the differential
-  /// reference); 0 = one per hardware thread.
+  /// Shard-worker count. 0 = one per hardware thread.
   size_t num_shards = 1;
   /// Slots per shard ring; also sizes the in-flight admission window.
   size_t queue_capacity = 256;
@@ -119,26 +109,14 @@ struct DeltaRepairStats {
   uint64_t pool_recycles = 0;      ///< shard pools reset (bounded memory)
 };
 
-/// \brief Registry-backed view of the delta engine's counters
-/// (telemetry/metrics.h), mirroring StreamMetrics: increments land on
-/// the process-wide `delta.*` instruments, and Snapshot() subtracts the
-/// values captured at construction so each engine instance reports its
-/// own activity. Slot-class populations and cells_changed are signed
-/// gauges (deletes and reclassifications decrement them); max_reorder
-/// is a per-instance MaxGauge mirrored into the registry's monotone
-/// `delta.max_reorder`.
+/// \brief Handles on the registry's `delta.*` instruments, read relative
+/// to construction (telemetry::BaselineCounters) so each engine reports
+/// its own activity. Slot-class populations and cells_changed are signed
+/// gauges (deletes and reclassifications decrement them).
 struct DeltaMetrics {
   DeltaMetrics();
 
-  void NoteReorderDepth(uint64_t depth) {
-    max_reorder.Note(depth);
-    max_reorder_global->Note(depth);
-  }
-
-  /// Current registry values minus the construction baseline; `rows`
-  /// is supplied by the engine (order_.size() is not a counter).
-  DeltaRepairStats Snapshot(uint64_t rows) const;
-
+  telemetry::BaselineCounters<DeltaRepairStats> baseline;
   telemetry::Counter* deltas_applied;
   telemetry::Counter* tuples_repaired;
   telemetry::Counter* tuples_invalidated;
@@ -147,14 +125,10 @@ struct DeltaMetrics {
   telemetry::Counter* memo_hits;
   telemetry::Counter* memo_misses;
   telemetry::Counter* pool_recycles;
-  telemetry::Gauge* fully_covered;
-  telemetry::Gauge* partial;
-  telemetry::Gauge* untouched;
-  telemetry::Gauge* conflicting;
+  std::array<telemetry::Gauge*, 4> by_class;  ///< indexed by FixClass
   telemetry::Gauge* cells_changed;
-  telemetry::MaxGauge* max_reorder_global;
-  telemetry::MaxGauge max_reorder;  ///< this engine's own high-water mark
-  DeltaRepairStats baseline;        ///< registry values at construction
+  /// Registry mirror of the runtime's reorder high-water mark.
+  telemetry::MaxGauge* max_reorder;
 };
 
 /// \brief Long-lived engine owning the repaired relation plus its
@@ -208,7 +182,7 @@ class DeltaRepairEngine {
   /// races the shard workers probing it — build delta tuples in their own
   /// pool instead.
   const Relation& master() const { return master_; }
-  size_t num_shards() const;
+  size_t num_shards() const { return runtime_.num_shards(); }
 
   /// The maintained repaired relation, compacted to live rows in order
   /// (flushes first). Byte-identical under WriteCsv to the from-scratch
@@ -256,8 +230,8 @@ class DeltaRepairEngine {
   static constexpr size_t kMaxFlushChain = 32;
 
   /// One repair job riding a shard ring. Carries the saturator pointer and
-  /// its epoch so workers rebuild their pool bridge exactly when a master
-  /// rebuild happened (the queue's mutex publishes the new saturator).
+  /// its epoch so workers rebind their repairer exactly when a master
+  /// rebuild happened (the ring's mutex publishes the new saturator).
   struct Job {
     uint64_t seq = 0;
     uint32_t slot = 0;
@@ -276,6 +250,12 @@ class DeltaRepairEngine {
     int8_t memo = -1;  ///< -1 memo off, 0 miss, 1 replayed
   };
 
+  /// A shard worker's repair context and the epoch it is bound to.
+  struct Shard {
+    ShardRepairer repairer;
+    uint64_t epoch = 0;
+  };
+
   Status CheckLive();
   /// Applies every flush-chain node with epoch > last_epoch to `memo`
   /// (oldest first); clears the memo outright when the chain no longer
@@ -286,21 +266,16 @@ class DeltaRepairEngine {
   /// enqueues re-repairs for the invalidated slots.
   Status EnsureIndexFresh();
   Status EnqueueRepair(uint32_t slot);
-  void RepairInline(const Job& job);
-  bool Admit(uint64_t* seq);
-  void WorkerLoop(size_t shard);
-  void ApplyOrdered(Done done);
+  void RepairBatch(Shard& shard, std::vector<Job>& batch);
   /// Applies one seq-ordered result to the maintained state. Caller holds
-  /// merge_mutex_.
+  /// the merge lock.
   void ApplyResult(Done& done);
   void UnregisterProbes(uint32_t slot);
   /// Marks every live slot that probed `row`'s key under one of
-  /// `rule_idxs` dirty. Caller holds merge_mutex_.
+  /// `rule_idxs` dirty. Takes the merge lock.
   void InvalidateMasterRow(size_t row, const std::vector<size_t>& rule_idxs);
-  /// Drains the pipeline (in_flight == 0); rethrows worker errors.
+  /// Drains the pipeline (nothing in flight); rethrows worker errors.
   void DrainPipeline();
-  void Fail(std::exception_ptr error);
-  void AddClass(uint8_t cls, int delta);
   Status MasterSchemaCheck(const Tuple& t) const;
   Status InputSchemaCheck(const Tuple& t) const;
 
@@ -308,10 +283,9 @@ class DeltaRepairEngine {
   SchemaPtr schema_;
   SchemaPtr master_schema_;
   AttrSet trusted_;
-  AttrSet all_;
   DeltaRepairOptions options_;
-  DependencyGraph graph_;
-  RuleSetSummary summary_;  ///< fronts graph_ on the invalidation path
+  RuleSetSummary summary_;  ///< master-side rule lists for invalidation
+  std::vector<size_t> all_rules_;  ///< 0..|Sigma|-1: a new/gone master row
   Status precheck_status_;  ///< strict analyze_first verdict
 
   Relation master_;
@@ -322,8 +296,8 @@ class DeltaRepairEngine {
 
   /// Slot stores: append-only; order_ holds the live slots in visible
   /// order. input_ is written by the caller thread only; repaired_ and the
-  /// probe/class bookkeeping below are written under merge_mutex_ (workers
-  /// apply results there).
+  /// probe/class bookkeeping below are written under the runtime's merge
+  /// lock (workers apply results there).
   Relation input_;
   Relation repaired_;
   std::vector<uint32_t> order_;
@@ -334,32 +308,15 @@ class DeltaRepairEngine {
   std::vector<uint8_t> slot_class_;
   std::vector<uint32_t> slot_cells_;  ///< per-slot cells_changed
 
-  // Sequential-path repair state (num_shards == 1).
-  PoolPtr local_pool_;
-  std::unique_ptr<PoolBridge> local_bridge_;
-  std::unique_ptr<RepairMemo> local_memo_;
-  uint64_t local_epoch_ = ~0ULL;
-
   /// Memo-invalidation state, written by the caller thread only:
   /// pending_memo_flush_ gathers probe hashes as master deltas land and
   /// becomes the next epoch's MemoFlush node at the rebuild.
   std::vector<uint64_t> pending_memo_flush_;
   std::shared_ptr<MemoFlush> memo_flush_head_;
 
-  std::vector<std::unique_ptr<BoundedQueue<Job>>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex merge_mutex_;
-  std::condition_variable progress_;  ///< window opens / pipeline drains
-  std::map<uint64_t, Done> pending_;
-  uint64_t next_seq_ = 0;
-  uint64_t next_apply_ = 0;
-  uint64_t in_flight_ = 0;
-  uint64_t window_ = 0;
-  bool failed_ = false;
-  std::exception_ptr first_error_;
-
   DeltaMetrics metrics_;
+  std::vector<Shard> shards_;  ///< one per runtime shard
+  ShardRuntime<Job, Done> runtime_;
 };
 
 }  // namespace certfix

@@ -2,23 +2,22 @@
 /// \brief Monitoring counters of the streaming repair engine, backed by
 /// the process-wide telemetry registry (telemetry/metrics.h).
 ///
-/// Each StreamMetrics instance is a thin view over the registry's
-/// `stream.*` instruments: increments go straight to striped registry
-/// counters (relaxed, lock-free), and Snapshot() subtracts the values
-/// captured at construction, so an instance still reports exactly what
-/// happened on *its* engine even when several engines run in one
-/// process (engines run sequentially; totals are exact once
-/// StreamRepairEngine::Finish() joins every worker). max_reorder is a
-/// high-water mark, where baseline subtraction is meaningless, so the
-/// instance keeps its own telemetry::MaxGauge and mirrors notes into
-/// the registry's monotone `stream.max_reorder`.
+/// Increments go straight to the registry's striped `stream.*` counters;
+/// Snapshot() reads them relative to construction
+/// (telemetry::BaselineCounters), so an instance reports exactly what
+/// happened on *its* engine, exact once Finish() joins every worker.
+/// max_reorder is a high-water mark, where subtraction is meaningless:
+/// the instance keeps its own MaxGauge and mirrors it into the registry's
+/// monotone `stream.max_reorder`.
 
 #ifndef CERTFIX_STREAM_STREAM_METRICS_H_
 #define CERTFIX_STREAM_STREAM_METRICS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
+#include "core/repair_tuple.h"
 #include "telemetry/metrics.h"
 
 namespace certfix {
@@ -45,47 +44,38 @@ struct StreamSnapshot {
 /// engine inside any ScopedRegistry it should report to.
 class StreamMetrics {
  public:
-  StreamMetrics() {
-    telemetry::Registry* reg = telemetry::Registry::Global();
-    tuples_in_ = reg->GetCounter("stream.tuples_in");
-    tuples_out_ = reg->GetCounter("stream.tuples_out");
-    fully_covered_ = reg->GetCounter("stream.fully_covered");
-    partial_ = reg->GetCounter("stream.partial");
-    untouched_ = reg->GetCounter("stream.untouched");
-    conflicting_ = reg->GetCounter("stream.conflicting");
-    cells_changed_ = reg->GetCounter("stream.cells_changed");
-    backpressure_waits_ = reg->GetCounter("stream.backpressure_waits");
-    pool_recycles_ = reg->GetCounter("stream.pool_recycles");
-    memo_hits_ = reg->GetCounter("stream.memo_hits");
-    memo_misses_ = reg->GetCounter("stream.memo_misses");
-    max_reorder_global_ = reg->GetMaxGauge("stream.max_reorder");
-    baseline_.tuples_in = tuples_in_->Value();
-    baseline_.tuples_out = tuples_out_->Value();
-    baseline_.fully_covered = fully_covered_->Value();
-    baseline_.partial = partial_->Value();
-    baseline_.untouched = untouched_->Value();
-    baseline_.conflicting = conflicting_->Value();
-    baseline_.cells_changed = cells_changed_->Value();
-    baseline_.backpressure_waits = backpressure_waits_->Value();
-    baseline_.pool_recycles = pool_recycles_->Value();
-    baseline_.memo_hits = memo_hits_->Value();
-    baseline_.memo_misses = memo_misses_->Value();
-  }
+  StreamMetrics()
+      : tuples_in_(Bind("stream.tuples_in", &StreamSnapshot::tuples_in)),
+        tuples_out_(Bind("stream.tuples_out", &StreamSnapshot::tuples_out)),
+        by_class_{Bind("stream.fully_covered", &StreamSnapshot::fully_covered),
+                  Bind("stream.partial", &StreamSnapshot::partial),
+                  Bind("stream.untouched", &StreamSnapshot::untouched),
+                  Bind("stream.conflicting", &StreamSnapshot::conflicting)},
+        cells_changed_(
+            Bind("stream.cells_changed", &StreamSnapshot::cells_changed)),
+        backpressure_waits_(Bind("stream.backpressure_waits",
+                                 &StreamSnapshot::backpressure_waits)),
+        pool_recycles_(
+            Bind("stream.pool_recycles", &StreamSnapshot::pool_recycles)),
+        memo_hits_(Bind("stream.memo_hits", &StreamSnapshot::memo_hits)),
+        memo_misses_(
+            Bind("stream.memo_misses", &StreamSnapshot::memo_misses)),
+        max_reorder_global_(telemetry::Registry::Global()->GetMaxGauge(
+            "stream.max_reorder")) {}
 
   void CountIn() { tuples_in_->Increment(); }
   void CountOut() { tuples_out_->Increment(); }
-  void CountFullyCovered() { fully_covered_->Increment(); }
-  void CountPartial() { partial_->Increment(); }
-  void CountUntouched() { untouched_->Increment(); }
-  void CountConflicting() { conflicting_->Increment(); }
+  /// Tallies one emitted tuple under its repair class.
+  void CountClass(FixClass kind) {
+    by_class_[static_cast<size_t>(kind)]->Increment();
+  }
   void CountCellsChanged(uint64_t n) { cells_changed_->Add(n); }
-  void CountBackpressureWait() { backpressure_waits_->Increment(); }
-  /// Folds in waits counted elsewhere (the per-ring blocked-push tallies
-  /// are merged here once the stream finishes).
+  /// Folds in the shard runtime's window and ring waits (once the stream
+  /// finishes).
   void AddBackpressureWaits(uint64_t n) { backpressure_waits_->Add(n); }
   void CountPoolRecycle() { pool_recycles_->Increment(); }
-  /// Folds in a shard memo's hit/miss tallies (workers add them when
-  /// their loop drains, so totals are exact after Finish).
+  /// Folds in a shard memo's hit/miss tallies (added once the stream
+  /// finishes, so totals are exact after Finish).
   void AddMemoCounts(uint64_t hits, uint64_t misses) {
     memo_hits_->Add(hits);
     memo_misses_->Add(misses);
@@ -97,29 +87,20 @@ class StreamMetrics {
 
   StreamSnapshot Snapshot() const {
     StreamSnapshot s;
-    s.tuples_in = tuples_in_->Value() - baseline_.tuples_in;
-    s.tuples_out = tuples_out_->Value() - baseline_.tuples_out;
-    s.fully_covered = fully_covered_->Value() - baseline_.fully_covered;
-    s.partial = partial_->Value() - baseline_.partial;
-    s.untouched = untouched_->Value() - baseline_.untouched;
-    s.conflicting = conflicting_->Value() - baseline_.conflicting;
-    s.cells_changed = cells_changed_->Value() - baseline_.cells_changed;
-    s.backpressure_waits =
-        backpressure_waits_->Value() - baseline_.backpressure_waits;
-    s.pool_recycles = pool_recycles_->Value() - baseline_.pool_recycles;
+    baseline_.Fill(&s);
     s.max_reorder = max_reorder_.Value();
-    s.memo_hits = memo_hits_->Value() - baseline_.memo_hits;
-    s.memo_misses = memo_misses_->Value() - baseline_.memo_misses;
     return s;
   }
 
  private:
+  telemetry::Counter* Bind(const char* name, uint64_t StreamSnapshot::*field) {
+    return baseline_.BindCounter(name, field);
+  }
+
+  telemetry::BaselineCounters<StreamSnapshot> baseline_;
   telemetry::Counter* tuples_in_;
   telemetry::Counter* tuples_out_;
-  telemetry::Counter* fully_covered_;
-  telemetry::Counter* partial_;
-  telemetry::Counter* untouched_;
-  telemetry::Counter* conflicting_;
+  std::array<telemetry::Counter*, 4> by_class_;  ///< indexed by FixClass
   telemetry::Counter* cells_changed_;
   telemetry::Counter* backpressure_waits_;
   telemetry::Counter* pool_recycles_;
@@ -127,7 +108,6 @@ class StreamMetrics {
   telemetry::Counter* memo_misses_;
   telemetry::MaxGauge* max_reorder_global_;
   telemetry::MaxGauge max_reorder_;  ///< this engine's own high-water mark
-  StreamSnapshot baseline_;  ///< registry values at construction
 };
 
 }  // namespace certfix

@@ -4,44 +4,18 @@
 /// the point of data entry", before errors propagate), as an online
 /// subsystem over the batch machinery.
 ///
-/// Pipeline:
-///
-/// ```
-///           Push / PushStrings          (producer thread(s))
-///                  |
-///        route by master-key hash       (hash of the trusted cells t[Z])
-///                  v
-///   ring 0      ring 1     ...  ring N-1    (BoundedQueue, backpressure)
-///     |            |               |
-///  shard 0      shard 1    ...  shard N-1   (workers; shard-local pool +
-///     |            |               |         PoolBridge; RepairOneTuple)
-///     +------------+---------------+
-///                  v
-///           ordered merge           (reorder buffer keyed by seq;
-///                  |                 emits strictly in input order)
-///                  v
-///              StreamSink
-/// ```
-///
-/// Determinism: every tuple is stamped with a sequence number at
-/// admission and the merge stage releases records to the sink in exactly
-/// that order, so the output is byte-identical regardless of the shard
-/// count — and identical to BatchRepair over the same rows, because both
-/// engines run the same RepairOneTuple (core/repair_tuple.h).
-///
-/// Bounded memory: the per-shard rings are fixed-capacity, admission is
-/// gated by an in-flight window of `num_shards * queue_capacity` tuples
-/// (Push blocks — backpressure — until the merge stage catches up), so
-/// the reorder buffer can never exceed the window; and each shard's
-/// ValuePool is recycled once it outgrows `pool_recycle_values`, so an
-/// unbounded stream of distinct values cannot grow a dictionary forever.
+/// Tuples ride the shard runtime (stream/shard_runtime.h), routed by a
+/// hash of their trusted cells t[Z]; each shard worker repairs its batch
+/// through a ShardRepairer (core/shard_repairer.h), and completion emits
+/// records to the StreamSink in input order. The output is therefore
+/// byte-identical at any shard count, and identical to BatchRepair over
+/// the same rows (both run RepairOneTuple). Push blocks while the
+/// runtime's in-flight window is full, and each shard's ValuePool is
+/// recycled past `pool_recycle_values`, so memory stays bounded.
 ///
 /// Single-writer pool contract (value_pool.h): the master pool is shared
-/// read-only; each shard worker interns into its own pool, probing the
-/// master through its own memoized PoolBridge; records cross the merge
-/// boundary as owned Values, never as pool-backed tuples. No pool is
-/// written concurrently, and no pool is read while another thread writes
-/// it.
+/// read-only; each shard interns into its own pool; records cross the
+/// merge boundary as owned Values, never as pool-backed tuples.
 ///
 /// Threading contract for callers: Push/PushStrings may be called from
 /// multiple producer threads, but Finish must not run concurrently with
@@ -50,17 +24,12 @@
 #ifndef CERTFIX_STREAM_STREAM_REPAIR_H_
 #define CERTFIX_STREAM_STREAM_REPAIR_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "analysis/analyze_mode.h"
-#include "core/repair_tuple.h"
-#include "stream/bounded_queue.h"
+#include "core/shard_repairer.h"
+#include "stream/shard_runtime.h"
 #include "stream/sink.h"
 #include "stream/stream_metrics.h"
 #include "util/status.h"
@@ -134,7 +103,7 @@ class StreamRepairEngine {
   /// case the engine accepts no tuples and this carries the witness.
   const Status& precheck_status() const { return precheck_status_; }
 
-  size_t num_shards() const { return queues_.size(); }
+  size_t num_shards() const { return runtime_.num_shards(); }
   const SchemaPtr& schema() const { return schema_; }
 
  private:
@@ -144,39 +113,21 @@ class StreamRepairEngine {
     std::vector<Value> values;
   };
 
-  size_t RouteShard(const std::vector<Value>& values, uint64_t seq) const;
-  bool Admit(uint64_t* seq);            ///< window wait + seq assignment
-  bool PushItem(Item item);             ///< admit + route + enqueue
-  void ShardLoop(size_t shard);
-  void EmitOrdered(StreamRecord record);
-  void Fail(std::exception_ptr error);
+  bool PushItem(Item item);
+  void RepairBatch(ShardRepairer& repairer, std::vector<Item>& batch);
+  void Emit(const StreamRecord& record);
 
-  const Saturator* sat_;
   SchemaPtr schema_;
   AttrSet trusted_;
   std::vector<AttrId> trusted_attrs_;   ///< routing key, ascending
-  AttrSet all_;
   StreamSink* sink_;
   StreamOptions options_;
   StreamMetrics metrics_;
-
-  std::vector<std::unique_ptr<BoundedQueue<Item>>> queues_;
-  std::vector<std::thread> workers_;
-
-  /// Merge state: reorder buffer + admission window, one lock. Sink
-  /// emission happens under this lock (records are ready-made values;
-  /// the per-record work is trivial next to a tuple's saturation).
-  std::mutex merge_mutex_;
-  std::condition_variable window_open_;
-  std::map<uint64_t, StreamRecord> pending_;
-  uint64_t next_seq_ = 0;               ///< next seq to admit
-  uint64_t next_emit_ = 0;              ///< next seq the sink expects
-  uint64_t in_flight_ = 0;              ///< admitted, not yet emitted
-  uint64_t window_ = 0;                 ///< max in_flight_
-  bool failed_ = false;
-  bool finished_ = false;
-  std::exception_ptr first_error_;
   Status precheck_status_;              ///< strict analyze_first verdict
+  bool finished_ = false;
+
+  std::vector<ShardRepairer> repairers_;  ///< one per shard
+  ShardRuntime<Item, StreamRecord> runtime_;
 };
 
 }  // namespace certfix

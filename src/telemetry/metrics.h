@@ -38,10 +38,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "telemetry/clock.h"
 
@@ -221,6 +223,40 @@ class ScopedRegistry {
  private:
   Registry registry_;
   Registry* prev_;
+};
+
+/// \brief Registry counters and gauges bound to the uint64_t fields of a
+/// snapshot struct `S` and read relative to their values at binding, so
+/// an engine instance reports only its own activity even when several
+/// run in one process. Binds to the then-Global() registry.
+template <typename S>
+class BaselineCounters {
+ public:
+  Counter* BindCounter(const std::string& name, uint64_t S::*field) {
+    Counter* c = Registry::Global()->GetCounter(name);
+    Bind(field, [c] { return c->Value(); });
+    return c;
+  }
+  /// Gauges are read in two's complement: a level that fell reads exact.
+  Gauge* BindGauge(const std::string& name, uint64_t S::*field) {
+    Gauge* g = Registry::Global()->GetGauge(name);
+    Bind(field, [g] { return static_cast<uint64_t>(g->Value()); });
+    return g;
+  }
+  /// Sets every bound field of `out` to its change since binding.
+  void Fill(S* out) const {
+    for (const auto& [field, read] : bound_) {
+      out->*field = read() - base_.*field;
+    }
+  }
+
+ private:
+  void Bind(uint64_t S::*field, std::function<uint64_t()> read) {
+    base_.*field = read();
+    bound_.emplace_back(field, std::move(read));
+  }
+  std::vector<std::pair<uint64_t S::*, std::function<uint64_t()>>> bound_;
+  S base_{};
 };
 
 /// Master switch for clock-touching instrumentation (ScopedLatency,

@@ -11,20 +11,30 @@
 namespace certfix {
 namespace {
 
+/// One-item pop through PopBatch(&v, 1): false once closed and drained.
+template <typename T>
+bool PopOne(BoundedQueue<T>* q, T* out) {
+  std::vector<T> v;
+  if (q->PopBatch(&v, 1) == 0) return false;
+  EXPECT_EQ(v.size(), 1u);
+  *out = std::move(v.front());
+  return true;
+}
+
 TEST(BoundedQueueTest, FifoSingleThread) {
   BoundedQueue<int> q(4);
   EXPECT_TRUE(q.Push(1));
   EXPECT_TRUE(q.Push(2));
   EXPECT_TRUE(q.Push(3));
   int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 2);
   EXPECT_TRUE(q.Push(4));
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 3);
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 4);
   EXPECT_EQ(q.size(), 0u);
 }
@@ -32,10 +42,10 @@ TEST(BoundedQueueTest, FifoSingleThread) {
 TEST(BoundedQueueTest, CapacityClampedToOne) {
   BoundedQueue<int> q(0);
   EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.TryPush(7));
-  EXPECT_FALSE(q.TryPush(8));  // full
+  EXPECT_TRUE(q.Push(7));
+  EXPECT_EQ(q.size(), 1u);  // full at one slot
   int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 7);
 }
 
@@ -51,12 +61,12 @@ TEST(BoundedQueueTest, PushBlocksUntilPopFreesSlot) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_pushed.load());
   int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 1);
   producer.join();
   EXPECT_TRUE(second_pushed.load());
   EXPECT_GE(q.blocked_pushes(), 1u);
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 2);
 }
 
@@ -65,24 +75,22 @@ TEST(BoundedQueueTest, CloseDrainsThenPopFails) {
   ASSERT_TRUE(q.Push(1));
   ASSERT_TRUE(q.Push(2));
   q.Close();
-  EXPECT_TRUE(q.closed());
   // Pushed-before-close items survive; pops drain them in order.
   int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.Pop(&v));  // closed and empty
-  EXPECT_FALSE(q.Pop(&v));  // stays closed
+  EXPECT_FALSE(PopOne(&q, &v));  // closed and empty
+  EXPECT_FALSE(PopOne(&q, &v));  // stays closed
 }
 
 TEST(BoundedQueueTest, PushAfterCloseFails) {
   BoundedQueue<int> q(2);
   q.Close();
   EXPECT_FALSE(q.Push(1));
-  EXPECT_FALSE(q.TryPush(1));
   int v = 0;
-  EXPECT_FALSE(q.Pop(&v));
+  EXPECT_FALSE(PopOne(&q, &v));
 }
 
 TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
@@ -96,9 +104,9 @@ TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
   EXPECT_FALSE(push_result.load());
   // The item enqueued before close is still poppable.
   int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
+  EXPECT_TRUE(PopOne(&q, &v));
   EXPECT_EQ(v, 1);
-  EXPECT_FALSE(q.Pop(&v));
+  EXPECT_FALSE(PopOne(&q, &v));
 }
 
 TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
@@ -106,7 +114,7 @@ TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
   std::atomic<bool> pop_result{true};
   std::thread consumer([&] {
     int v = 0;
-    pop_result = q.Pop(&v);  // blocks: empty
+    pop_result = PopOne(&q, &v);  // blocks: empty
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.Close();
@@ -125,7 +133,7 @@ TEST(BoundedQueueTest, MpmcStressEveryItemDeliveredOnce) {
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
       int v = 0;
-      while (q.Pop(&v)) {
+      while (PopOne(&q, &v)) {
         sum += v;
         ++popped;
       }
@@ -151,7 +159,7 @@ TEST(BoundedQueueTest, MoveOnlyPayload) {
   BoundedQueue<std::unique_ptr<int>> q(2);
   ASSERT_TRUE(q.Push(std::make_unique<int>(42)));
   std::unique_ptr<int> out;
-  ASSERT_TRUE(q.Pop(&out));
+  ASSERT_TRUE(PopOne(&q, &out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
 }

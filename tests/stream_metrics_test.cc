@@ -48,15 +48,15 @@ TEST(StreamMetricsTest, EveryCounterLandsInItsSnapshotField) {
   metrics.CountIn();
   metrics.CountIn();
   metrics.CountOut();
-  metrics.CountFullyCovered();
-  metrics.CountPartial();
-  metrics.CountPartial();
-  metrics.CountPartial();
-  metrics.CountUntouched();
-  metrics.CountConflicting();
+  metrics.CountClass(FixClass::kFullyCovered);
+  metrics.CountClass(FixClass::kPartial);
+  metrics.CountClass(FixClass::kPartial);
+  metrics.CountClass(FixClass::kPartial);
+  metrics.CountClass(FixClass::kUntouched);
+  metrics.CountClass(FixClass::kConflicting);
   metrics.CountCellsChanged(7);
   metrics.CountCellsChanged(5);
-  metrics.CountBackpressureWait();
+  metrics.AddBackpressureWaits(1);
   metrics.AddBackpressureWaits(9);
   metrics.CountPoolRecycle();
   metrics.NoteReorderDepth(3);
@@ -68,7 +68,7 @@ TEST(StreamMetricsTest, EveryCounterLandsInItsSnapshotField) {
   EXPECT_EQ(s.untouched, 1u);
   EXPECT_EQ(s.conflicting, 1u);
   EXPECT_EQ(s.cells_changed, 12u);
-  EXPECT_EQ(s.backpressure_waits, 10u);  // 1 direct + 9 folded
+  EXPECT_EQ(s.backpressure_waits, 10u);  // two folds add up
   EXPECT_EQ(s.pool_recycles, 1u);
   EXPECT_EQ(s.max_reorder, 3u);
 }
