@@ -31,8 +31,7 @@ struct Fixture {
   SchemaPtr schema;
   RuleSet rules;
   Relation master;
-  std::unique_ptr<MasterIndex> index;      ///< flat (the default)
-  std::unique_ptr<MasterIndex> index_map;  ///< legacy map, the A/B oracle
+  std::unique_ptr<MasterIndex> index;
   std::unique_ptr<Saturator> sat;
   std::unique_ptr<DependencyGraph> graph;
   std::unique_ptr<TransFix> transfix;
@@ -45,8 +44,7 @@ struct Fixture {
     rules = HospWorkload::MakeRules(schema);
     Rng rng(42);
     master = HospWorkload::MakeMaster(schema, dm_size, &rng);
-    index = std::make_unique<MasterIndex>(rules, master, IndexKind::kFlat);
-    index_map = std::make_unique<MasterIndex>(rules, master, IndexKind::kMap);
+    index = std::make_unique<MasterIndex>(rules, master);
     sat = std::make_unique<Saturator>(rules, master, *index);
     graph = std::make_unique<DependencyGraph>(rules);
     transfix = std::make_unique<TransFix>(rules, master, *graph, *index);
@@ -76,19 +74,8 @@ void BM_RuleApplication(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleApplication);
 
-// Pinned to the legacy map-backed index so the series keeps measuring
-// what the checked-in baseline measured; BM_FlatIndexProbe below is the
-// same probe through the flat table.
-void BM_MasterLookup(benchmark::State& state) {
-  Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.index_map->Candidates(0, f.probe));
-  }
-}
-BENCHMARK(BM_MasterLookup)->Arg(1000)->Arg(10000);
-
-// The identical probe against the cache-conscious flat index — the
-// headline comparison for the storage-layer rework.
+// One master-index probe (MasterIndex::Candidates) through the flat
+// table.
 void BM_FlatIndexProbe(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -96,33 +83,6 @@ void BM_FlatIndexProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatIndexProbe)->Arg(1000)->Arg(10000);
-
-// Batched probes with software prefetch between hash and resolve, the
-// shard-loop pipeline of the repair engines. Arg = block size.
-void BM_BatchedProbe(benchmark::State& state) {
-  Fixture& f = SharedFixture(10000);
-  FlatKeyIndex index(f.master, f.rules.at(0).lhsm());
-  const std::vector<AttrId>& probe_attrs = f.rules.at(0).lhs();
-  const size_t block = static_cast<size_t>(state.range(0));
-  std::vector<Tuple> probes;
-  probes.reserve(block);
-  for (size_t i = 0; i < block; ++i) {
-    probes.push_back(f.master.at((i * 97) % f.master.size()));
-  }
-  ProbeBatch batch(&index);
-  size_t hits = 0;
-  for (auto _ : state) {
-    batch.Clear();
-    for (const Tuple& t : probes) batch.Add(t, probe_attrs);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      hits += batch.Resolve(i).size();
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(block));
-}
-BENCHMARK(BM_BatchedProbe)->Arg(8)->Arg(32)->Arg(128);
 
 // Memoized repair replay: after the first (cold) RepairOneTuple, every
 // iteration is a memo hit — projection, one flat-table probe, and a
@@ -205,8 +165,8 @@ BENCHMARK(BM_RegionPrecomputation)->Arg(1000);
 
 // --- Storage layer: interned ids vs. rendered string keys ---
 
-// Legacy probe path (what KeyIndex did before the ValuePool refactor):
-// render the projection to a "v1\x1fv2" string per probe and hash it.
+// Rendered-string probe path the interned ids replaced: render the
+// projection to a "v1\x1fv2" string per probe and hash it.
 void BM_StringKeyProbe(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
   const std::vector<AttrId>& key = f.rules.at(0).lhsm();
@@ -227,7 +187,7 @@ BENCHMARK(BM_StringKeyProbe)->Arg(1000)->Arg(10000);
 // Interned probe, probe tuple sharing the master pool: integer key hash.
 void BM_InternedKeyProbe(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
-  KeyIndex index(f.master, f.rules.at(0).lhsm());
+  FlatKeyIndex index(f.master, f.rules.at(0).lhsm());
   const std::vector<AttrId>& probe_attrs = f.rules.at(0).lhs();
   size_t hits = 0;
   for (auto _ : state) {
@@ -241,7 +201,7 @@ BENCHMARK(BM_InternedKeyProbe)->Arg(1000)->Arg(10000);
 // BatchRepair shard path: each distinct value hashed once, then ids).
 void BM_InternedKeyProbeBridged(benchmark::State& state) {
   Fixture& f = SharedFixture(static_cast<size_t>(state.range(0)));
-  KeyIndex index(f.master, f.rules.at(0).lhsm());
+  FlatKeyIndex index(f.master, f.rules.at(0).lhsm());
   const std::vector<AttrId>& probe_attrs = f.rules.at(0).lhs();
   PoolPtr local = std::make_shared<ValuePool>();
   Tuple probe = f.probe.RebasedTo(local);

@@ -9,8 +9,7 @@
 ///
 /// Build & run:  ./build/bench/bench_scenarios
 ///               [--specs DIR] [--json OUT.json] [--threads N]
-///               [--scale-deltas K] [--index flat|map] [--no-memo]
-///               [--no-telemetry]
+///               [--scale-deltas K] [--no-telemetry]
 ///
 /// Defaults: DIR = tests/scenarios, threads = hardware,
 /// --scale-deltas 20 multiplies each spec's delta count so the small
@@ -26,11 +25,6 @@
 /// production; --no-telemetry disables the clock reads to measure the
 /// instrumentation overhead itself (tools/bench_diff.py ignores keys
 /// absent from the baseline, so older baselines keep working).
-///
-/// --index map --no-memo runs the whole corpus on the legacy
-/// unordered_map master index with memoization off — the CI release job
-/// runs that leg once as a cross-implementation oracle (the byte-
-/// agreement gate then covers flat-vs-map and memo-vs-not).
 
 #include <algorithm>
 #include <cstdlib>
@@ -87,8 +81,7 @@ void WriteLatencyJson(std::ostream& json, const char* key,
 }
 
 int Run(const std::string& specs_dir, const std::string& json_path,
-        size_t threads, size_t scale_deltas, IndexKind index_kind,
-        bool use_memo) {
+        size_t threads, size_t scale_deltas) {
   PrintHeader("Scenario corpus: cross-engine throughput + byte agreement",
               "adversarial workload shapes; src/workload/scenario.h");
   if (threads == 0) threads = DefaultParallelism();
@@ -152,11 +145,10 @@ int Run(const std::string& specs_dir, const std::string& json_path,
     row.final_rows = final_input->size();
 
     Timer batch_timer;
-    MasterIndex index(sc->rules, *final_master, index_kind);
+    MasterIndex index(sc->rules, *final_master);
     Saturator sat(sc->rules, *final_master, index);
     RepairOptions batch_options;
     batch_options.num_threads = threads;
-    batch_options.use_memo = use_memo;
     BatchRepairResult batch =
         BatchRepair(sat, batch_options).Repair(*final_input, sc->trusted);
     row.batch_seconds = batch_timer.Seconds();
@@ -167,8 +159,6 @@ int Run(const std::string& specs_dir, const std::string& json_path,
     {
       DeltaRepairOptions options;
       options.num_shards = threads;
-      options.index_kind = index_kind;
-      options.use_memo = use_memo;
       DeltaRepairEngine engine(sc->rules, sc->master, sc->trusted, options);
       if (Status st = engine.Load(sc->initial); !st.ok()) {
         std::cout << spec.name << ": load failed: " << st << "\n";
@@ -196,7 +186,6 @@ int Run(const std::string& specs_dir, const std::string& json_path,
     {
       StreamOptions options;
       options.num_shards = threads;
-      options.use_memo = use_memo;
       std::ostringstream out;
       CsvStreamSink sink(sc->schema, out);
       StreamRepairEngine engine(sat, sc->trusted, &sink, options);
@@ -289,8 +278,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   size_t threads = 0;
   size_t scale_deltas = 20;
-  certfix::IndexKind index_kind = certfix::IndexKind::kFlat;
-  bool use_memo = true;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--specs" && i + 1 < argc) {
@@ -301,20 +288,12 @@ int main(int argc, char** argv) {
       threads = std::strtoul(argv[++i], nullptr, 10);
     } else if (arg == "--scale-deltas" && i + 1 < argc) {
       scale_deltas = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--index" && i + 1 < argc) {
-      std::string kind = argv[++i];
-      if (kind == "map") {
-        index_kind = certfix::IndexKind::kMap;
-      } else if (kind != "flat") {
-        std::cout << "--index must be flat or map, got '" << kind << "'\n";
-        return 1;
-      }
-    } else if (arg == "--no-memo") {
-      use_memo = false;
     } else if (arg == "--no-telemetry") {
       certfix::telemetry::SetEnabled(false);
+    } else {
+      std::cout << "unknown argument: " << arg << "\n";
+      return 1;
     }
   }
-  return certfix::bench::Run(specs_dir, json_path, threads, scale_deltas,
-                             index_kind, use_memo);
+  return certfix::bench::Run(specs_dir, json_path, threads, scale_deltas);
 }

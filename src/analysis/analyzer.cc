@@ -73,26 +73,33 @@ AttrSet RulesetAnalyzer::DefaultTrusted(const RuleSet& rules) {
   return rules.r_schema()->AllAttrs().Minus(rules.RhsUnion());
 }
 
-RulesetReport RulesetAnalyzer::Analyze(const Relation* master, AttrSet trusted,
-                                       const AnalyzeOptions& opts) const {
-  DependencyGraph graph(*rules_);
-  RuleSetSummary summary(graph, trusted);
-
+RulesetReport RulesetAnalyzer::Header(const DependencyGraph& graph,
+                                      AttrSet trusted, AttrSet closure) const {
   RulesetReport report;
   report.num_rules = rules_->size();
   const SchemaPtr& r = rules_->r_schema();
   for (AttrId a : trusted.ToVector()) report.trusted.push_back(r->attr_name(a));
-  for (AttrId a : summary.closure().Minus(trusted).ToVector()) {
+  for (AttrId a : closure.Minus(trusted).ToVector()) {
     report.fixable.push_back(r->attr_name(a));
   }
   for (size_t i = 0; i < rules_->size(); ++i) {
+    const EditingRule& rule = rules_->at(i);
     RuleSummaryRow row;
-    row.rule = rules_->at(i).name();
-    row.reachable = summary.Reachable(i);
-    row.fanout = summary.Fanout(i);
-    row.downstream = summary.Downstream(i).size();
+    row.rule = rule.name();
+    row.reachable = rule.premise_set().SubsetOf(closure) &&
+                    !trusted.Contains(rule.rhs());
+    row.fanout = graph.Successors(i).size();
+    row.downstream = graph.ReachableFrom(graph.Successors(i)).size();
     report.summary.push_back(std::move(row));
   }
+  return report;
+}
+
+RulesetReport RulesetAnalyzer::Analyze(const Relation* master, AttrSet trusted,
+                                       const AnalyzeOptions& opts) const {
+  DependencyGraph graph(*rules_);
+  const AttrSet closure = rules_->Closure(trusted);
+  RulesetReport report = Header(graph, trusted, closure);
 
   CheckSchemaAndTypes(&report);
   bool schema_ok = report.ok();
@@ -113,7 +120,7 @@ RulesetReport RulesetAnalyzer::Analyze(const Relation* master, AttrSet trusted,
     CheckConflicts(sat, trusted, opts, &report);
   }
   CheckCycles(graph, &report);
-  CheckStructure(summary, &report);
+  CheckStructure(trusted, closure, &report);
   CheckShadowing(&report);
   return report;
 }
@@ -122,30 +129,15 @@ RulesetReport RulesetAnalyzer::AnalyzeWith(const Saturator& sat,
                                            AttrSet trusted,
                                            const AnalyzeOptions& opts) const {
   DependencyGraph graph(*rules_);
-  RuleSetSummary summary(graph, trusted);
-
-  RulesetReport report;
-  report.num_rules = rules_->size();
-  const SchemaPtr& r = rules_->r_schema();
-  for (AttrId a : trusted.ToVector()) report.trusted.push_back(r->attr_name(a));
-  for (AttrId a : summary.closure().Minus(trusted).ToVector()) {
-    report.fixable.push_back(r->attr_name(a));
-  }
-  for (size_t i = 0; i < rules_->size(); ++i) {
-    RuleSummaryRow row;
-    row.rule = rules_->at(i).name();
-    row.reachable = summary.Reachable(i);
-    row.fanout = summary.Fanout(i);
-    row.downstream = summary.Downstream(i).size();
-    report.summary.push_back(std::move(row));
-  }
+  const AttrSet closure = rules_->Closure(trusted);
+  RulesetReport report = Header(graph, trusted, closure);
 
   CheckSchemaAndTypes(&report);
   if (report.ok() && !rules_->empty()) {
     CheckConflicts(sat, trusted, opts, &report);
   }
   CheckCycles(graph, &report);
-  CheckStructure(summary, &report);
+  CheckStructure(trusted, closure, &report);
   CheckShadowing(&report);
   return report;
 }
@@ -239,25 +231,25 @@ void RulesetAnalyzer::CheckSchemaAndTypes(RulesetReport* report) const {
   }
 }
 
-void RulesetAnalyzer::CheckStructure(const RuleSetSummary& summary,
+void RulesetAnalyzer::CheckStructure(AttrSet trusted, AttrSet closure,
                                      RulesetReport* report) const {
   const SchemaPtr& r = rules_->r_schema();
   for (size_t i = 0; i < rules_->size(); ++i) {
     const EditingRule& rule = rules_->at(i);
-    if (summary.Reachable(i)) continue;
+    if (report->summary[i].reachable) continue;
     Diagnostic d;
     d.kind = DiagnosticKind::kDeadRule;
     d.severity = DiagnosticSeverity::kWarning;
     d.rules = {rule.name()};
     d.attr = r->attr_name(rule.rhs());
-    if (summary.trusted().Contains(rule.rhs())) {
+    if (trusted.Contains(rule.rhs())) {
       d.message = "rule '" + rule.name() +
                   "' can never fire: its target attribute '" +
                   r->attr_name(rule.rhs()) + "' is already trusted";
     } else {
       std::string missing;
       for (AttrId a :
-           rule.premise_set().Minus(summary.closure()).ToVector()) {
+           rule.premise_set().Minus(closure).ToVector()) {
         if (!missing.empty()) missing += ", ";
         missing += r->attr_name(a);
       }
@@ -267,7 +259,7 @@ void RulesetAnalyzer::CheckStructure(const RuleSetSummary& summary,
     }
     report->diagnostics.push_back(std::move(d));
   }
-  for (AttrId a : r->AllAttrs().Minus(summary.closure()).ToVector()) {
+  for (AttrId a : r->AllAttrs().Minus(closure).ToVector()) {
     Diagnostic d;
     d.kind = DiagnosticKind::kCoverageGap;
     d.severity = DiagnosticSeverity::kWarning;

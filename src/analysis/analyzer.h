@@ -3,7 +3,7 @@
 ///
 /// Fronts the scattered well-formedness machinery — CheckUniqueFix
 /// (consistency witnesses), DependencyGraph (cycles, reachability),
-/// ZProblems-style closure (dead rules, coverage gaps) — behind one call
+/// RuleSet::Closure (dead rules, coverage gaps) — behind one call
 /// producing a RulesetReport of typed diagnostics. Three consumers:
 /// `cli analyze` (human + --json), the engines' analyze_first gate
 /// (GateRuleset below), and tests.
@@ -26,7 +26,7 @@
 
 #include "analysis/analyze_mode.h"
 #include "analysis/diagnostics.h"
-#include "analysis/rule_summary.h"
+#include "core/dependency_graph.h"
 #include "core/saturation.h"
 #include "util/result.h"
 
@@ -66,8 +66,15 @@ class RulesetAnalyzer {
                             const AnalyzeOptions& opts = {}) const;
 
  private:
+  /// The report header both entry points share: Z, the attributes its
+  /// schema-level `closure` fixes, and one reachability / fan-out row per
+  /// rule (no diagnostics yet).
+  RulesetReport Header(const DependencyGraph& graph, AttrSet trusted,
+                       AttrSet closure) const;
   void CheckSchemaAndTypes(RulesetReport* report) const;
-  void CheckStructure(const RuleSetSummary& summary, RulesetReport* report) const;
+  /// Dead rules (the header's unreachable rows) and coverage gaps.
+  void CheckStructure(AttrSet trusted, AttrSet closure,
+                      RulesetReport* report) const;
   void CheckShadowing(RulesetReport* report) const;
   void CheckCycles(const DependencyGraph& graph, RulesetReport* report) const;
   void CheckConflicts(const Saturator& sat, AttrSet trusted,

@@ -69,8 +69,8 @@ struct Diagnostic {
   std::string ToJson(int indent) const;
 };
 
-/// \brief Per-rule reachability / fan-out row surfaced in the report (the
-/// RuleSetSummary view; see analysis/rule_summary.h).
+/// \brief Per-rule reachability / fan-out row surfaced in the report,
+/// computed from the DependencyGraph and RuleSet::Closure of Z.
 struct RuleSummaryRow {
   std::string rule;       ///< rule name
   bool reachable = true;  ///< premise derivable from the trusted region

@@ -27,17 +27,17 @@ class PartialMasterIndexCache {
   explicit PartialMasterIndexCache(const Relation& dm) : dm_(&dm) {}
 
   /// Master rows whose projection on `master_attrs` equals t's projection
-  /// on `r_attrs` (positionally).
-  const std::vector<size_t>& Lookup(const std::vector<AttrId>& master_attrs,
-                                    const Tuple& t,
-                                    const std::vector<AttrId>& r_attrs);
+  /// on `r_attrs` (positionally), ascending. The span views cache-owned
+  /// storage and stays valid while the cache lives.
+  RowSpan Lookup(const std::vector<AttrId>& master_attrs, const Tuple& t,
+                 const std::vector<AttrId>& r_attrs);
 
   size_t num_indexes() const { return cache_.size(); }
   const Relation& master() const { return *dm_; }
 
  private:
   const Relation* dm_;
-  std::map<std::vector<AttrId>, std::unique_ptr<KeyIndex>> cache_;
+  std::map<std::vector<AttrId>, std::unique_ptr<FlatKeyIndex>> cache_;
   std::vector<size_t> all_rows_;
   bool all_rows_ready_ = false;
 };

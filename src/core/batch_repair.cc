@@ -18,7 +18,7 @@ void BatchRepair::RepairRange(const Relation& data, AttrSet trusted,
   // One repairer for the whole range: every row's cells live in the same
   // pool (the shard-local one, or the input's on the sequential path), so
   // each distinct value is hashed into master-pool id space once.
-  ShardRepairer repairer(*sat_, trusted, options_.use_memo,
+  ShardRepairer repairer(*sat_, trusted,
                          local_pool != nullptr ? local_pool : data.pool());
   repairer.Run(
       end - begin, /*log_probes=*/false,

@@ -51,10 +51,6 @@ struct RepairOptions {
   /// (Sigma, Dm, Z) as-is, warn logs analyzer diagnostics, strict refuses
   /// inconsistent rulesets with the witness in the error (analyzer.h).
   AnalyzeMode analyze_first = AnalyzeMode::kOff;
-  /// Replay repair outcomes for repeated relevant projections via a
-  /// per-shard RepairMemo (core/repair_memo.h). Output-invisible — the
-  /// differential suites A/B it off via --no-memo.
-  bool use_memo = true;
 };
 
 /// \brief Outcome of repairing one relation.

@@ -50,19 +50,6 @@ bool DependencyGraph::HasCycle() const {
   return false;
 }
 
-std::vector<size_t> DependencyGraph::RulesReadingMasterAttrs(
-    const AttrSet& master_attrs) const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < rules_->size(); ++i) {
-    const EditingRule& rule = rules_->at(i);
-    AttrSet reads;
-    for (AttrId a : rule.lhsm()) reads.Add(a);
-    reads.Add(rule.rhsm());
-    if (reads.Intersects(master_attrs)) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<size_t> DependencyGraph::ReachableFrom(
     const std::vector<size_t>& seeds) const {
   std::vector<bool> seen(out_.size(), false);
@@ -88,14 +75,6 @@ std::vector<size_t> DependencyGraph::ReachableFrom(
     if (seen[i]) out.push_back(i);
   }
   return out;
-}
-
-AttrSet DependencyGraph::InvalidatedRegion(const AttrSet& master_attrs) const {
-  AttrSet region;
-  for (size_t i : ReachableFrom(RulesReadingMasterAttrs(master_attrs))) {
-    region.Add(rules_->at(i).rhs());
-  }
-  return region;
 }
 
 std::string DependencyGraph::ToDot() const {

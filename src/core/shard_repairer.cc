@@ -20,15 +20,15 @@ std::vector<Value> ShardRepairer::Outcome::OwnedCells() const {
 }
 
 ShardRepairer::ShardRepairer(const Saturator& sat, AttrSet trusted,
-                             bool use_memo, PoolPtr pool)
+                             PoolPtr pool)
     : sat_(&sat),
       trusted_(trusted),
       all_(sat.rules().r_schema()->AllAttrs()),
       pool_(pool != nullptr ? std::move(pool)
                             : std::make_shared<ValuePool>()),
       bridge_(pool_.get(), sat.index().pool().get()),
+      memo_(sat.rules(), trusted),
       first_round_(sat.FirstRoundProbeRules(trusted)) {
-  if (use_memo) memo_ = std::make_unique<RepairMemo>(sat.rules(), trusted);
   staged_.reserve(kProbeBlock);
 }
 
@@ -44,12 +44,12 @@ bool ShardRepairer::RecycleIfOver(size_t budget) {
   if (pool_->size() <= budget) return false;
   pool_ = std::make_shared<ValuePool>();
   bridge_ = PoolBridge(pool_.get(), sat_->index().pool().get());
-  if (memo_ != nullptr) memo_->Clear();  // keyed on the old pool's ids
+  memo_.Clear();  // keyed on the old pool's ids
   return true;
 }
 
 void ShardRepairer::StageRow(Tuple row) {
-  if (memo_ != nullptr) memo_->Prefetch(row);
+  memo_.Prefetch(row);
   sat_->index().PrefetchRhsProbes(row, first_round_, &bridge_);
   staged_.push_back(std::move(row));
 }
@@ -57,11 +57,10 @@ void ShardRepairer::StageRow(Tuple row) {
 void ShardRepairer::Resolve(size_t j, bool log_probes, Outcome* out) {
   out->row = &staged_[j];
   out->probes.Clear();
-  const uint64_t hits_before = memo_hits();
+  const uint64_t hits_before = memo_.hits();
   out->repair = RepairOneTuple(*sat_, staged_[j], trusted_, all_, &bridge_,
-                               log_probes ? &out->probes : nullptr,
-                               memo_.get());
-  if (memo_ != nullptr) out->memo = memo_->hits() > hits_before ? 1 : 0;
+                               log_probes ? &out->probes : nullptr, &memo_);
+  out->memo_hit = memo_.hits() > hits_before;
 }
 
 Tuple ShardRepairer::MakeRow(std::vector<Value>& cells) const {

@@ -1,7 +1,7 @@
 /// \file shard_repairer.h
 /// \brief One shard's repair context, shared by the batch, stream and
 /// delta engines: a shard-local ValuePool, its PoolBridge into the
-/// master pool, an optional RepairMemo, and the software-pipelined loop
+/// master pool, a RepairMemo, and the software-pipelined loop
 /// that stages a block of rows (prefetching memo and round-1 master
 /// buckets) before resolving them in order with RepairOneTuple. The
 /// engines differ only in where rows come from and where outcomes go.
@@ -29,16 +29,15 @@ class ShardRepairer {
     const Tuple* row = nullptr;  ///< staged input row (shard pool)
     TupleRepair repair;
     ProbeLog probes;             ///< filled only when the Run logs probes
-    int8_t memo = -1;            ///< -1 memo off, 0 miss, 1 replayed
+    bool memo_hit = false;       ///< replayed from the memo
 
     /// The fix (the input on conflict) as owned values, free of the pool.
     std::vector<Value> OwnedCells() const;
   };
 
-  /// Interns rows into `pool` (a fresh one when null); `use_memo`
-  /// attaches a RepairMemo keyed on it.
-  ShardRepairer(const Saturator& sat, AttrSet trusted, bool use_memo,
-                PoolPtr pool = nullptr);
+  /// Interns rows into `pool` (a fresh one when null), with a RepairMemo
+  /// keyed on it.
+  ShardRepairer(const Saturator& sat, AttrSet trusted, PoolPtr pool = nullptr);
 
   /// Rows per probe block: the batch size to hand Run.
   static size_t block_rows();
@@ -78,9 +77,9 @@ class ShardRepairer {
   /// A row of `cells` (moved from) interned into the shard pool.
   Tuple MakeRow(std::vector<Value>& cells) const;
 
-  RepairMemo* memo() const { return memo_.get(); }
-  uint64_t memo_hits() const { return memo_ ? memo_->hits() : 0; }
-  uint64_t memo_misses() const { return memo_ ? memo_->misses() : 0; }
+  RepairMemo* memo() { return &memo_; }
+  uint64_t memo_hits() const { return memo_.hits(); }
+  uint64_t memo_misses() const { return memo_.misses(); }
 
  private:
   /// Stage half: keeps `row` and prefetches its memo bucket and round-1
@@ -94,7 +93,7 @@ class ShardRepairer {
   AttrSet all_;
   PoolPtr pool_;
   PoolBridge bridge_;
-  std::unique_ptr<RepairMemo> memo_;
+  RepairMemo memo_;
   std::vector<size_t> first_round_;  ///< rules round 1 probes from Z
   std::vector<Tuple> staged_;        ///< the block in flight, reused
 };

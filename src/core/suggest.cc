@@ -6,21 +6,6 @@
 
 namespace certfix {
 
-AttrSet Suggester::ClosureOf(const RuleSet& rules, AttrSet z) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const EditingRule& rule : rules) {
-      if (z.Contains(rule.rhs())) continue;
-      if (rule.premise_set().SubsetOf(z)) {
-        z.Add(rule.rhs());
-        changed = true;
-      }
-    }
-  }
-  return z;
-}
-
 bool Suggester::VerifyRegionRow(const RuleSet& applicable, const Tuple& t,
                                 AttrSet z_validated,
                                 const std::vector<AttrId>& z_full) {
@@ -55,7 +40,8 @@ bool Suggester::VerifyRegionRow(const RuleSet& applicable, const Tuple& t,
       }
     }
     if (r_key.empty()) continue;
-    candidates = partial_cache_.Lookup(m_key, t, r_key);
+    const RowSpan rows = partial_cache_.Lookup(m_key, t, r_key);
+    candidates.assign(rows.begin(), rows.end());
   }
   if (candidates.empty()) {
     size_t n = std::min(kMaxProbes, dm_->size());
@@ -100,7 +86,7 @@ AttrSet Suggester::Suggest(const Tuple& t, AttrSet z) {
     for (AttrId a : droppable) {
       AttrSet probe = zz;
       probe.Remove(a);
-      if (ClosureOf(sigma_t, probe) == all) zz = probe;
+      if (sigma_t.Closure(probe) == all) zz = probe;
     }
     if (zz.Count() < best.Count()) best = zz;
   }
@@ -114,7 +100,7 @@ AttrSet Suggester::Suggest(const Tuple& t, AttrSet z) {
   }
 
   std::vector<AttrId> z_full = z.Union(s).ToVector();
-  if (ClosureOf(sigma_t, z.Union(s)) == all &&
+  if (sigma_t.Closure(z.Union(s)) == all &&
       VerifyRegionRow(sigma_t, t, z, z_full)) {
     return s;
   }
@@ -130,7 +116,7 @@ bool Suggester::IsSuggestion(const Tuple& t, AttrSet z, AttrSet s) {
   if (s.Empty()) return false;
   if (z.Union(s) == all) return true;  // trivial region
   ApplicableRules applicable = Applicable(t, z);
-  if (ClosureOf(applicable.rules, z.Union(s)) != all) return false;
+  if (applicable.rules.Closure(z.Union(s)) != all) return false;
   return VerifyRegionRow(applicable.rules, t, z, z.Union(s).ToVector());
 }
 

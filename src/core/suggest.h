@@ -42,9 +42,6 @@ class Suggester {
   }
 
  private:
-  // closure of z under `rules` (schema level).
-  static AttrSet ClosureOf(const RuleSet& rules, AttrSet z);
-
   // Verifies that some master tuple yields a valid certain-region row for
   // (z_full, anchored at t on z_validated). Bounded probing.
   bool VerifyRegionRow(const RuleSet& applicable, const Tuple& t,

@@ -5,22 +5,6 @@
 
 namespace certfix {
 
-AttrSet ZProblems::Closure(AttrSet z) const {
-  const RuleSet& rules = sat_->rules();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const EditingRule& rule : rules) {
-      if (z.Contains(rule.rhs())) continue;
-      if (rule.premise_set().SubsetOf(z)) {
-        z.Add(rule.rhs());
-        changed = true;
-      }
-    }
-  }
-  return z;
-}
-
 AttrSet ZProblems::ForcedAttrs() const {
   const RuleSet& rules = sat_->rules();
   AttrSet all = rules.r_schema()->AllAttrs();
@@ -90,7 +74,7 @@ Status ZProblems::ForEachCandidate(
 Result<std::optional<PatternTuple>> ZProblems::Validate(
     const std::vector<AttrId>& z, const ZOptions& opts) const {
   // Quick necessary condition: the schema-level closure must cover R.
-  if (Closure(AttrSet::FromVector(z)) !=
+  if (sat_->rules().Closure(AttrSet::FromVector(z)) !=
       sat_->rules().r_schema()->AllAttrs()) {
     return std::optional<PatternTuple>();
   }
@@ -119,7 +103,7 @@ Result<std::optional<PatternTuple>> ZProblems::Validate(
 
 Result<size_t> ZProblems::Count(const std::vector<AttrId>& z,
                                 const ZOptions& opts) const {
-  if (Closure(AttrSet::FromVector(z)) !=
+  if (sat_->rules().Closure(AttrSet::FromVector(z)) !=
       sat_->rules().r_schema()->AllAttrs()) {
     return static_cast<size_t>(0);
   }
@@ -178,14 +162,14 @@ std::vector<AttrId> ZProblems::MinimumGreedy() const {
   AttrSet all = schema->AllAttrs();
   AttrSet z = ForcedAttrs();
   // Greedy: add the attribute whose addition grows the closure most.
-  while (Closure(z) != all) {
+  while (sat_->rules().Closure(z) != all) {
     AttrId best = AttrSet::kMaxAttrs;
     int best_gain = -1;
     for (AttrId a = 0; a < schema->num_attrs(); ++a) {
       if (z.Contains(a)) continue;
       AttrSet z2 = z;
       z2.Add(a);
-      int gain = Closure(z2).Count();
+      int gain = sat_->rules().Closure(z2).Count();
       if (gain > best_gain) {
         best_gain = gain;
         best = a;
@@ -200,7 +184,7 @@ std::vector<AttrId> ZProblems::MinimumGreedy() const {
     if (forced.Contains(a)) continue;
     AttrSet z2 = z;
     z2.Remove(a);
-    if (Closure(z2) == all) z = z2;
+    if (sat_->rules().Closure(z2) == all) z = z2;
   }
   return z.ToVector();
 }

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "analysis/analyzer.h"
-#include "core/dependency_graph.h"
 #include "core/repair_memo.h"
 #include "telemetry/trace.h"
 
@@ -66,7 +65,6 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
       master_schema_(rules.rm_schema()),
       trusted_(trusted),
       options_(options),
-      summary_(DependencyGraph(rules), trusted),
       all_rules_(rules.size()),
       master_(std::move(master)),
       input_(schema_),
@@ -74,7 +72,7 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
       runtime_(options.num_shards, options.queue_capacity,
                ShardRepairer::block_rows()) {
   std::iota(all_rules_.begin(), all_rules_.end(), 0);
-  index_ = std::make_unique<MasterIndex>(*rules_, master_, options_.index_kind);
+  index_ = std::make_unique<MasterIndex>(*rules_, master_);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
 
   // The analyze_first gate runs before any worker exists: a strict
@@ -91,8 +89,7 @@ DeltaRepairEngine::DeltaRepairEngine(const RuleSet& rules, Relation&& master,
   // pushed before this constructor returns.
   shards_.reserve(runtime_.num_shards());
   for (size_t s = 0; s < runtime_.num_shards(); ++s) {
-    shards_.push_back({ShardRepairer(*sat_, trusted_, options_.use_memo),
-                       sat_epoch_});
+    shards_.push_back({ShardRepairer(*sat_, trusted_), sat_epoch_});
   }
 }
 
@@ -179,9 +176,7 @@ void DeltaRepairEngine::RepairBatch(Shard& shard, std::vector<Job>& batch) {
   const Job& head = batch.front();
   if (shard.epoch != head.epoch) {
     repairer.Rebind(*head.sat);
-    if (repairer.memo() != nullptr) {
-      ApplyMemoFlush(repairer.memo(), head.flush.get(), shard.epoch);
-    }
+    ApplyMemoFlush(repairer.memo(), head.flush.get(), shard.epoch);
     shard.epoch = head.epoch;
   }
   if (repairer.RecycleIfOver(options_.pool_recycle_values)) {
@@ -193,7 +188,7 @@ void DeltaRepairEngine::RepairBatch(Shard& shard, std::vector<Job>& batch) {
       [&](ShardRepairer::Outcome& o) {
         const Job& job = batch[o.index];
         Done done{job.seq, job.slot, o.OwnedCells(), o.repair.report,
-                  std::move(o.probes.hashes), o.memo};
+                  std::move(o.probes.hashes), o.memo_hit};
         CERTFIX_SPAN("delta.merge");
         runtime_.Complete(std::move(done),
                           [this](Done& d) { ApplyResult(d); });
@@ -215,8 +210,7 @@ void DeltaRepairEngine::ApplyResult(Done& d) {
   uint32_t slot = d.slot;
   // Memo tallies count every finished repair, even one whose slot died
   // in flight — they measure saturation work saved, not live state.
-  if (d.memo == 1) metrics_.memo_hits->Increment();
-  if (d.memo == 0) metrics_.memo_misses->Increment();
+  (d.memo_hit ? metrics_.memo_hits : metrics_.memo_misses)->Increment();
   if (slot_class_[slot] == kDeadClass) {
     return;  // deleted while the repair was in flight
   }
@@ -267,33 +261,31 @@ Status DeltaRepairEngine::EnsureIndexFresh() {
   CERTFIX_SPAN("delta.rebuild");
   // A master delta staled the index. The pipeline is already quiescent
   // (master mutations drain it), so no worker can be probing the old one.
-  index_ = std::make_unique<MasterIndex>(*rules_, master_, options_.index_kind);
+  index_ = std::make_unique<MasterIndex>(*rules_, master_);
   sat_ = std::make_unique<Saturator>(*rules_, master_, *index_);
   ++sat_epoch_;
   metrics_.master_rebuilds->Increment();
   index_stale_ = false;
-  if (options_.use_memo) {
-    // Publish this epoch's memo invalidation. A node exists for every
-    // epoch — even an empty one — so a worker can prove its flush chain
-    // is gapless down to the epoch it last saw.
-    auto node = std::make_shared<MemoFlush>();
-    node->epoch = sat_epoch_;
-    node->hashes = std::move(pending_memo_flush_);
-    pending_memo_flush_.clear();
-    node->prev = memo_flush_head_;
-    memo_flush_head_ = std::move(node);
-    // Cap the chain. The cut mutates a node others may hold refs to, but
-    // the pipeline is quiescent here (master deltas drained it) and no
-    // worker dereferences its chain outside batch start, so nothing
-    // races; workers cut off simply Clear() when they next run.
-    MemoFlush* n = memo_flush_head_.get();
-    for (size_t depth = 1; n->prev != nullptr; ++depth) {
-      if (depth >= kMaxFlushChain) {
-        n->prev.reset();
-        break;
-      }
-      n = n->prev.get();
+  // Publish this epoch's memo invalidation. A node exists for every
+  // epoch — even an empty one — so a worker can prove its flush chain
+  // is gapless down to the epoch it last saw.
+  auto node = std::make_shared<MemoFlush>();
+  node->epoch = sat_epoch_;
+  node->hashes = std::move(pending_memo_flush_);
+  pending_memo_flush_.clear();
+  node->prev = memo_flush_head_;
+  memo_flush_head_ = std::move(node);
+  // Cap the chain. The cut mutates a node others may hold refs to, but
+  // the pipeline is quiescent here (master deltas drained it) and no
+  // worker dereferences its chain outside batch start, so nothing
+  // races; workers cut off simply Clear() when they next run.
+  MemoFlush* n = memo_flush_head_.get();
+  for (size_t depth = 1; n->prev != nullptr; ++depth) {
+    if (depth >= kMaxFlushChain) {
+      n->prev.reset();
+      break;
     }
+    n = n->prev.get();
   }
   std::vector<uint32_t> dirty(dirty_slots_.begin(), dirty_slots_.end());
   dirty_slots_.clear();
@@ -388,7 +380,7 @@ void DeltaRepairEngine::InvalidateMasterRow(
     // not a live slot depends on it right now: shard memos also hold
     // entries for rows since deleted or updated, and for rows on rings
     // this thread knows nothing about.
-    if (options_.use_memo) pending_memo_flush_.push_back(h);
+    pending_memo_flush_.push_back(h);
     auto it = probe_to_slots_.find(h);
     if (it == probe_to_slots_.end()) continue;
     for (uint32_t slot : it->second) {
@@ -433,9 +425,8 @@ Status DeltaRepairEngine::MasterUpdate(size_t pos, const Tuple& t) {
   }
   DrainPipeline();
   // Only rules whose master side reads a changed attribute can answer
-  // differently — and only for the row's old or new key. The summary's
-  // precomputed per-attribute rule lists front the graph walk here.
-  std::vector<size_t> affected = summary_.RulesReadingMasterAttrs(changed);
+  // differently — and only for the row's old or new key.
+  std::vector<size_t> affected = rules_->RulesReadingMasterAttrs(changed);
   InvalidateMasterRow(pos, affected);  // old projections
   master_.UpdateRow(pos, t);
   InvalidateMasterRow(pos, affected);  // new projections

@@ -20,7 +20,7 @@
 ///  * A master upsert can only change the answers of probes whose key
 ///    matches the touched master row's old or new (Xm, Bm) projection, for
 ///    rules whose master side reads a changed attribute
-///    (RuleSetSummary::RulesReadingMasterAttrs). Every repair records its
+///    (RuleSet::RulesReadingMasterAttrs). Every repair records its
 ///    probe set as (rule, key) hashes (ProbeLog, fix_state.h); the engine
 ///    keeps the reverse map hash -> tuples, so a master delta re-repairs
 ///    exactly the tuples that depended on an affected probe — hash
@@ -54,7 +54,6 @@
 #include <vector>
 
 #include "analysis/analyze_mode.h"
-#include "analysis/rule_summary.h"
 #include "core/master_index.h"
 #include "core/shard_repairer.h"
 #include "stream/delta_source.h"
@@ -75,17 +74,6 @@ struct DeltaRepairOptions {
   /// every diagnostic and proceeds; strict refuses the session — every
   /// mutator returns the Inconsistent verdict (conflict witness included).
   AnalyzeMode analyze_first = AnalyzeMode::kOff;
-  /// Per-shard repair memoization (core/repair_memo.h). Unlike the batch
-  /// and stream engines, the memo here survives master rebuilds: a
-  /// rebuild flushes exactly the entries whose recorded probes a master
-  /// delta could have re-answered (the same hash machinery that drives
-  /// slot invalidation), so hot entries keep paying off across epochs.
-  /// Output-invisible; hit/miss tallies surface in DeltaRepairStats.
-  bool use_memo = true;
-  /// Master-index implementation for every internal build and rebuild.
-  /// kMap keeps the legacy std::unordered_map path alive as the A/B
-  /// oracle for the flat table (tests/scenario_corpus_test.cc).
-  IndexKind index_kind = IndexKind::kFlat;
 };
 
 /// \brief Counters. The live-state fields (rows..cells_changed) mirror
@@ -132,7 +120,7 @@ struct DeltaMetrics {
 };
 
 /// \brief Long-lived engine owning the repaired relation plus its
-/// KeyIndex/MasterIndex state.
+/// MasterIndex state.
 class DeltaRepairEngine {
  public:
   /// `rules` must outlive the engine. `master` is copied into an
@@ -201,10 +189,6 @@ class DeltaRepairEngine {
   /// case every mutator returns this status (witness in the message).
   const Status& precheck_status() const { return precheck_status_; }
 
-  /// Precomputed per-rule reachability/fan-out shared with the
-  /// master-delta invalidation path (analysis/rule_summary.h).
-  const RuleSetSummary& summary() const { return summary_; }
-
  private:
   // Slot classification: FixClass values 0..3, plus pending (enqueued,
   // not yet applied) and dead (deleted).
@@ -247,7 +231,7 @@ class DeltaRepairEngine {
     std::vector<Value> fixed;
     FixReport report;
     std::vector<uint64_t> probes;
-    int8_t memo = -1;  ///< -1 memo off, 0 miss, 1 replayed
+    bool memo_hit = false;  ///< replayed from the shard memo
   };
 
   /// A shard worker's repair context and the epoch it is bound to.
@@ -284,7 +268,6 @@ class DeltaRepairEngine {
   SchemaPtr master_schema_;
   AttrSet trusted_;
   DeltaRepairOptions options_;
-  RuleSetSummary summary_;  ///< master-side rule lists for invalidation
   std::vector<size_t> all_rules_;  ///< 0..|Sigma|-1: a new/gone master row
   Status precheck_status_;  ///< strict analyze_first verdict
 

@@ -52,7 +52,8 @@
 namespace certfix {
 
 struct DurableOptions {
-  /// Engine knobs (shards, memo, index) used by the in-memory engine.
+  /// Engine knobs (shards, ring capacity, pool recycling, analyze gate)
+  /// used by the in-memory engine.
   DeltaRepairOptions engine;
   /// Auto-rotate the snapshot after this many WAL appends; 0 = only on
   /// explicit WriteSnapshot() (the WAL then grows without bound).

@@ -261,8 +261,7 @@ FlatKeyIndex::FlatKeyIndex(const Relation& rel, std::vector<AttrId> attrs)
   }
 
   // Pass 2: prefix-sum the counts into arena offsets, then scatter rows
-  // in ascending order so each key's postings match the push_back order
-  // of the KeyIndex map path.
+  // in ascending order, so each key's postings are ascending.
   offsets_.assign(counts.size() + 1, 0);
   for (size_t k = 0; k < counts.size(); ++k) {
     offsets_[k + 1] = offsets_[k] + counts[k];
@@ -298,31 +297,6 @@ RowSpan FlatKeyIndex::LookupTuple(const Tuple& t,
   }
   const uint32_t payload = table_.Find(key.data());
   return payload == FlatIdTable::kNotFound ? RowSpan() : Rows(payload);
-}
-
-size_t ProbeBatch::Add(const Tuple& t, const std::vector<AttrId>& probe_attrs,
-                       PoolBridge* bridge) {
-  const size_t arity = index_->table().arity();
-  thread_local IdKey scratch;
-  if (index_->pool() == nullptr ||
-      !ProjectIds(t, probe_attrs, index_->pool().get(), bridge, &scratch)) {
-    hashes_.push_back(kMissHash);
-    keys_.resize(keys_.size() + arity, kInvalidValueId);
-    return hashes_.size() - 1;
-  }
-  const uint64_t hash = index_->table().Hash(scratch.data());
-  index_->table().Prefetch(hash);
-  hashes_.push_back(hash);
-  keys_.insert(keys_.end(), scratch.begin(), scratch.end());
-  return hashes_.size() - 1;
-}
-
-RowSpan ProbeBatch::Resolve(size_t i) const {
-  if (hashes_[i] == kMissHash) return RowSpan();
-  const size_t arity = index_->table().arity();
-  const uint32_t payload =
-      index_->table().FindHashed(hashes_[i], keys_.data() + i * arity);
-  return payload == FlatIdTable::kNotFound ? RowSpan() : index_->Rows(payload);
 }
 
 }  // namespace certfix

@@ -122,7 +122,7 @@ class PoolDictionaryBuilder {
   PoolPtr pool_;
 };
 
-/// Key type used by id-keyed hash indexes (KeyIndex, MasterIndex).
+/// Key type used by id-keyed hash indexes (FlatKeyIndex, MasterIndex).
 using IdKey = std::vector<ValueId>;
 
 struct IdKeyHash {

@@ -39,6 +39,33 @@ AttrSet RuleSet::MentionedAttrs() const {
   return s;
 }
 
+AttrSet RuleSet::Closure(AttrSet z) const {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const EditingRule& rule : rules_) {
+      if (z.Contains(rule.rhs())) continue;
+      if (rule.premise_set().SubsetOf(z)) {
+        z.Add(rule.rhs());
+        changed = true;
+      }
+    }
+  }
+  return z;
+}
+
+std::vector<size_t> RuleSet::RulesReadingMasterAttrs(
+    const AttrSet& master_attrs) const {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    const EditingRule& rule = rules_[i];
+    AttrSet reads = AttrSet::FromVector(rule.lhsm());
+    reads.Add(rule.rhsm());
+    if (reads.Intersects(master_attrs)) out.push_back(i);
+  }
+  return out;
+}
+
 std::vector<Value> RuleSet::PatternConstants() const {
   std::set<Value> seen;
   for (const auto& r : rules_) {

@@ -36,6 +36,18 @@ class RuleSet {
   /// All R attributes mentioned anywhere in Sigma (Z_Sigma of Prop 15).
   AttrSet MentionedAttrs() const;
 
+  /// Schema-level forward closure of `z` under Sigma: repeatedly adds
+  /// rhs(phi) for every rule whose premises lie in the closure (master
+  /// data ignored).
+  AttrSet Closure(AttrSet z) const;
+
+  /// Rules whose master side (Xm or Bm) reads any attribute in
+  /// `master_attrs`, ascending. A master-data delta touching only
+  /// attributes outside every rule's (Xm, Bm) cannot change any probe
+  /// answer, so an empty result means the delta invalidates nothing
+  /// (incremental engine, src/incremental/).
+  std::vector<size_t> RulesReadingMasterAttrs(const AttrSet& master_attrs) const;
+
   /// Constants appearing in rule patterns.
   std::vector<Value> PatternConstants() const;
 

@@ -34,7 +34,7 @@ StreamRepairEngine::StreamRepairEngine(const Saturator& sat, AttrSet trusted,
   // pushed before this constructor returns.
   repairers_.reserve(runtime_.num_shards());
   for (size_t s = 0; s < runtime_.num_shards(); ++s) {
-    repairers_.emplace_back(sat, trusted_, options_.use_memo);
+    repairers_.emplace_back(sat, trusted_);
   }
 }
 

@@ -55,11 +55,6 @@ struct StreamOptions {
   /// workers are spawned, Push returns false, PushStrings and Finish
   /// surface the Inconsistent status with the conflict witness.
   AnalyzeMode analyze_first = AnalyzeMode::kOff;
-  /// Per-shard repair memoization (core/repair_memo.h): repeated
-  /// relevant projections — the hot paths of skewed streams — replay
-  /// their recorded outcome instead of re-saturating. Output-invisible;
-  /// hit/miss tallies surface in StreamSnapshot.
-  bool use_memo = true;
 };
 
 /// \brief Long-lived online repair engine.

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "analysis/analyzer.h"
@@ -39,6 +40,42 @@ struct ParsedArgs {
   std::vector<std::string> errors;
 };
 
+/// The flags each subcommand accepts. Anything else is a usage error,
+/// so a stale or misspelt flag can neither be silently ignored nor
+/// swallow the next argument as its value.
+const std::set<std::string>* AcceptedFlags(const std::string& command) {
+  static const std::map<std::string, std::set<std::string>> kFlags = [] {
+    const std::set<std::string> telemetry = {
+        "metrics-json", "trace-out", "metrics-deterministic", "no-telemetry"};
+    auto with_telemetry = [&](std::set<std::string> flags) {
+      flags.insert(telemetry.begin(), telemetry.end());
+      return flags;
+    };
+    auto repair = [&](std::set<std::string> extra) {
+      extra.insert({"master", "rules", "input", "trusted", "output",
+                    "threads", "analyze"});
+      return with_telemetry(std::move(extra));
+    };
+    return std::map<std::string, std::set<std::string>>{
+        {"mine", {"master", "max-lhs", "no-conditional"}},
+        {"analyze",
+         {"master", "rules", "trusted", "json", "strict", "max-probes"}},
+        {"check", {"master", "rules", "region"}},
+        {"repair", repair({"chunk-size"})},
+        {"repair-stream", repair({"queue-capacity"})},
+        {"repair-deltas",
+         repair({"queue-capacity", "deltas", "wal", "snapshot-every",
+                 "no-compress", "no-sync", "mmap-budget"})},
+        {"snapshot", {"dir", "threads", "mmap-budget", "no-compress"}},
+        {"recover", with_telemetry({"dir", "output", "threads",
+                                    "queue-capacity", "mmap-budget"})},
+        {"workload-gen", {"spec", "out-dir", "prefix"}},
+    };
+  }();
+  auto it = kFlags.find(command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
 ParsedArgs ParseArgs(const std::vector<std::string>& args) {
   ParsedArgs out;
   if (args.empty()) {
@@ -46,6 +83,8 @@ ParsedArgs ParseArgs(const std::vector<std::string>& args) {
     return out;
   }
   out.command = args[0];
+  // An unknown subcommand is reported by RunCli; its flags go unchecked.
+  const std::set<std::string>* accepted = AcceptedFlags(out.command);
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (!StartsWith(a, "--")) {
@@ -53,9 +92,15 @@ ParsedArgs ParseArgs(const std::vector<std::string>& args) {
       continue;
     }
     std::string key = a.substr(2);
+    if (accepted != nullptr && accepted->count(key) == 0) {
+      out.errors.push_back(
+          "unknown flag --" + key + " for " +
+          (out.command == "workload-gen" ? "workload gen" : out.command));
+      continue;
+    }
     if (key == "no-conditional" || key == "json" || key == "strict" ||
-        key == "no-memo" || key == "metrics-deterministic" ||
-        key == "no-telemetry" || key == "no-compress" || key == "no-sync") {
+        key == "metrics-deterministic" || key == "no-telemetry" ||
+        key == "no-compress" || key == "no-sync") {
       out.flags[key] = "true";
       continue;
     }
@@ -79,18 +124,17 @@ void Usage(std::ostream& err) {
       << "  repair  --master M.csv --rules R.rules --input D.csv\n"
       << "          --trusted a,b [--output OUT.csv] [--threads N]\n"
       << "          [--chunk-size N] [--analyze off|warn|strict]\n"
-      << "          [--index flat|map] [--no-memo] [telemetry flags]\n"
+      << "          [telemetry flags]\n"
       << "  repair-stream\n"
       << "          --master M.csv --rules R.rules --input D.csv\n"
       << "          --trusted a,b [--output OUT.csv] [--threads N]\n"
       << "          [--queue-capacity N] [--analyze off|warn|strict]\n"
-      << "          [--index flat|map] [--no-memo] [telemetry flags]\n"
+      << "          [telemetry flags]\n"
       << "  repair-deltas\n"
       << "          --master M.csv --rules R.rules --input D.csv\n"
       << "          --deltas D.deltas --trusted a,b [--output OUT.csv]\n"
       << "          [--threads N] [--queue-capacity N]\n"
-      << "          [--analyze off|warn|strict]\n"
-      << "          [--index flat|map] [--no-memo] [telemetry flags]\n"
+      << "          [--analyze off|warn|strict] [telemetry flags]\n"
       << "          [--wal DIR] [--snapshot-every N] [--no-compress]\n"
       << "          [--no-sync] [--mmap-budget BYTES]\n"
       << "          (--wal persists state durably; with an existing DIR\n"
@@ -98,12 +142,13 @@ void Usage(std::ostream& err) {
       << "           --input/--trusted are read from it; --deltas is\n"
       << "           then optional. --deltas accepts the CSV delta-log\n"
       << "           or binary WAL format.)\n"
-      << "  snapshot --dir DIR [--no-compress] [--mmap-budget BYTES]\n"
+      << "  snapshot --dir DIR [--threads N] [--no-compress]\n"
+      << "          [--mmap-budget BYTES]\n"
       << "          (rotates a durable session to a fresh snapshot\n"
       << "           generation, emptying its WAL)\n"
       << "  recover --dir DIR [--output OUT.csv] [--threads N]\n"
-      << "          [--queue-capacity N] [--index flat|map] [--no-memo]\n"
-      << "          [--mmap-budget BYTES] [telemetry flags]\n"
+      << "          [--queue-capacity N] [--mmap-budget BYTES]\n"
+      << "          [telemetry flags]\n"
       << "          (snapshot load + WAL replay; prints what recovery\n"
       << "           found and optionally writes the repaired relation)\n"
       << "  workload gen\n"
@@ -191,26 +236,6 @@ bool ParseSizeFlag(const ParsedArgs& args, const char* flag, size_t* out,
     return false;
   }
   return true;
-}
-
-/// Parses the optional --index flat|map flag shared by the repair
-/// commands: the master-index implementation. flat (default) is the
-/// cache-conscious open-addressing table; map keeps the legacy
-/// std::unordered_map path alive as its A/B oracle.
-bool ParseIndexFlag(const ParsedArgs& args, IndexKind* kind,
-                    std::ostream& err) {
-  auto it = args.flags.find("index");
-  if (it == args.flags.end()) return true;
-  if (it->second == "flat") {
-    *kind = IndexKind::kFlat;
-    return true;
-  }
-  if (it->second == "map") {
-    *kind = IndexKind::kMap;
-    return true;
-  }
-  err << "--index must be flat or map, got '" << it->second << "'\n";
-  return false;
 }
 
 /// Parses the optional --analyze off|warn|strict flag shared by the
@@ -461,15 +486,12 @@ int CmdRepair(const ParsedArgs& args, std::ostream& out,
     return 2;
   }
   RepairOptions options;
-  IndexKind index_kind = IndexKind::kFlat;
   if (!ParseSizeFlag(args, "threads", &options.num_threads, err) ||
       !ParseSizeFlag(args, "chunk-size", &options.chunk_size, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err) ||
-      !ParseIndexFlag(args, &index_kind, err)) {
+      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
     return 1;
   }
-  options.use_memo = args.flags.count("no-memo") == 0;
-  MasterIndex index(setup.rules, setup.master, index_kind);
+  MasterIndex index(setup.rules, setup.master);
   Saturator sat(setup.rules, setup.master, index);
   BatchRepair repair(sat, options);
   Result<BatchRepairResult> checked =
@@ -509,21 +531,18 @@ int CmdRepairStream(const ParsedArgs& args, std::ostream& out,
     return code;
   }
   StreamOptions options;
-  IndexKind index_kind = IndexKind::kFlat;
   if (!ParseSizeFlag(args, "threads", &options.num_shards, err) ||
       !ParseSizeFlag(args, "queue-capacity", &options.queue_capacity, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err) ||
-      !ParseIndexFlag(args, &index_kind, err)) {
+      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
     return 1;
   }
-  options.use_memo = args.flags.count("no-memo") == 0;
   std::ifstream in(setup.input_path);
   if (!in) {
     err << Status::NotFound("cannot open file: " + setup.input_path) << "\n";
     return 2;
   }
 
-  MasterIndex index(setup.rules, setup.master, index_kind);
+  MasterIndex index(setup.rules, setup.master);
   Saturator sat(setup.rules, setup.master, index);
   CsvTupleSource source(setup.master.schema(), in);
 
@@ -601,11 +620,9 @@ int CmdRepairDeltas(const ParsedArgs& args, std::ostream& out,
   DeltaRepairOptions options;
   if (!ParseSizeFlag(args, "threads", &options.num_shards, err) ||
       !ParseSizeFlag(args, "queue-capacity", &options.queue_capacity, err) ||
-      !ParseAnalyzeFlag(args, &options.analyze_first, err) ||
-      !ParseIndexFlag(args, &options.index_kind, err)) {
+      !ParseAnalyzeFlag(args, &options.analyze_first, err)) {
     return 1;
   }
-  options.use_memo = args.flags.count("no-memo") == 0;
 
   auto wal_it = args.flags.find("wal");
   auto deltas_it = args.flags.find("deltas");
@@ -782,11 +799,9 @@ int CmdRecover(const ParsedArgs& args, std::ostream& out,
   if (!ParseSizeFlag(args, "threads", &durable.engine.num_shards, err) ||
       !ParseSizeFlag(args, "queue-capacity", &durable.engine.queue_capacity,
                      err) ||
-      !ParseIndexFlag(args, &durable.engine.index_kind, err) ||
       !ParseSizeFlag(args, "mmap-budget", &durable.mmap_budget_bytes, err)) {
     return 1;
   }
-  durable.engine.use_memo = args.flags.count("no-memo") == 0;
   DeltaRepairStats stats;
   std::unique_ptr<DurableSession> session;
   try {

@@ -64,6 +64,35 @@ TEST_F(CliTest, MissingFlagValueFails) {
   EXPECT_EQ(Run({"mine", "--master"}), 1);
 }
 
+// Each subcommand accepts only its own flags: a stale, misspelt or
+// foreign flag exits 1 naming it, and never swallows the next argument.
+TEST_F(CliTest, UnknownFlagsFail) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"repair", "--no-memo"},
+      {"repair-deltas", "--index", "map"},
+      {"repair", "--thread", "4"},
+  };
+  for (const std::vector<std::string>& extra : cases) {
+    std::vector<std::string> args = {extra[0],  "--master",  master_path_,
+                                     "--rules", rules_path_, "--input",
+                                     input_path_, "--trusted", "zip"};
+    args.insert(args.end(), extra.begin() + 1, extra.end());
+    EXPECT_EQ(Run(args), 1) << extra[1];
+    EXPECT_NE(err_.str().find("unknown flag " + extra[1] + " for " +
+                              extra[0]),
+              std::string::npos)
+        << err_.str();
+  }
+  // A flag another subcommand accepts is still foreign here.
+  EXPECT_EQ(Run({"mine", "--master", master_path_, "--json"}), 1);
+  EXPECT_NE(err_.str().find("unknown flag --json for mine"),
+            std::string::npos);
+  EXPECT_EQ(Run({"workload", "gen", "--spec", "s.toml", "--threads", "2"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown flag --threads for workload gen"),
+            std::string::npos);
+}
+
 TEST_F(CliTest, MineEmitsParseableRules) {
   ASSERT_EQ(Run({"mine", "--master", master_path_, "--no-conditional"}), 0)
       << err_.str();

@@ -38,7 +38,7 @@ TEST_F(CRegionSupplierTest, CompCRegionZIsMinimal) {
   EXPECT_EQ(z.size(), 4u);
   AttrSet z_set = AttrSet::FromVector(z);
   EXPECT_TRUE(Attrs(r_, {"phn", "type", "item"}).SubsetOf(z_set));
-  EXPECT_EQ(finder_->Closure(z_set), r_->AllAttrs());
+  EXPECT_EQ(rules_.Closure(z_set), r_->AllAttrs());
 }
 
 TEST_F(CRegionSupplierTest, BuildRegionRowsAreValidCertainRegions) {
@@ -102,7 +102,7 @@ TEST(CRegionWorkloadTest, HospCompVsGreedy) {
   std::vector<AttrId> greedy = finder.GRegionZ();
   EXPECT_EQ(comp.size(), 2u);
   EXPECT_EQ(greedy.size(), 4u);
-  EXPECT_EQ(finder.Closure(AttrSet::FromVector(comp)), schema->AllAttrs());
+  EXPECT_EQ(rules.Closure(AttrSet::FromVector(comp)), schema->AllAttrs());
 }
 
 TEST(CRegionWorkloadTest, DblpCompVsGreedy) {
@@ -120,8 +120,8 @@ TEST(CRegionWorkloadTest, DblpCompVsGreedy) {
   std::vector<AttrId> greedy = finder.GRegionZ();
   EXPECT_EQ(comp.size(), 5u);
   EXPECT_GT(greedy.size(), comp.size());
-  EXPECT_EQ(finder.Closure(AttrSet::FromVector(comp)), schema->AllAttrs());
-  EXPECT_EQ(finder.Closure(AttrSet::FromVector(greedy)),
+  EXPECT_EQ(rules.Closure(AttrSet::FromVector(comp)), schema->AllAttrs());
+  EXPECT_EQ(rules.Closure(AttrSet::FromVector(greedy)),
             schema->AllAttrs());
 }
 

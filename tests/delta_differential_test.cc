@@ -1,8 +1,8 @@
 /// \file delta_differential_test.cc
 /// \brief Property-based differential tests of the incremental engine:
 /// after any delta sequence, DeltaRepairEngine state must be byte-identical
-/// to a from-scratch BatchRepair over the final input and master — at
-/// 1/2/8 shards.
+/// to a from-scratch BatchRepair over the final input and master, and to
+/// the memo-free ReferenceRepair (tests/test_util.h) — at 1/2/8 shards.
 ///
 /// The property test draws a random master, a random rule subset, a random
 /// initial relation, and a 500+-step delta sequence (all six DeltaKinds)
@@ -37,8 +37,10 @@ std::string ToCsv(const Relation& rel) {
   return out.str();
 }
 
-/// From-scratch oracle: BatchRepair over the engine's current input and
-/// master. Also cross-checks the engine's live counters.
+/// From-scratch oracles over the engine's current input and master:
+/// BatchRepair, which also cross-checks the engine's live counters, and
+/// the memo-free ReferenceRepair, which proves the memo (and its
+/// master-delta flush chain) invisible at every check step.
 void ExpectMatchesScratch(DeltaRepairEngine* engine, const RuleSet& rules,
                           AttrSet trusted, const std::string& label) {
   Relation final_input = engine->SnapshotInput();
@@ -47,8 +49,10 @@ void ExpectMatchesScratch(DeltaRepairEngine* engine, const RuleSet& rules,
   Saturator sat(rules, final_master, index);
   BatchRepairResult batch = BatchRepair(sat).Repair(final_input, trusted);
 
-  ASSERT_EQ(ToCsv(engine->SnapshotRepaired()), ToCsv(batch.repaired))
+  const std::string repaired = ToCsv(engine->SnapshotRepaired());
+  ASSERT_EQ(repaired, ToCsv(ReferenceRepair(sat, final_input, trusted)))
       << label;
+  ASSERT_EQ(repaired, ToCsv(batch.repaired)) << label;
   EXPECT_EQ(engine->ConflictPositions(), batch.conflict_rows) << label;
   DeltaRepairStats stats = engine->stats();
   EXPECT_EQ(stats.rows, final_input.size()) << label;
@@ -357,21 +361,12 @@ TEST(DeltaPropertyTest, RandomDeltaSequencesMatchScratchAtEveryShardCount) {
 
   constexpr size_t kSteps = 520;
   constexpr size_t kCheckEvery = 65;
-  // The memo-off legs replay the identical sequence: byte-equal finals
-  // prove memoization (and its master-delta flush chain) is invisible.
-  struct RunConfig {
-    size_t shards;
-    bool memo;
-  };
-  const std::vector<RunConfig> runs = {
-      {1, true}, {2, true}, {8, true}, {1, false}, {8, false}};
+  const std::vector<size_t> shard_counts = {1, 2, 8};
   std::vector<std::string> final_csv;
-  for (const RunConfig& run : runs) {
-    const size_t shards = run.shards;
+  for (size_t shards : shard_counts) {
     DeltaRepairOptions options;
     options.num_shards = shards;
     options.queue_capacity = 16;
-    options.use_memo = run.memo;
     DeltaRepairEngine engine(w.rules, w.master, w.trusted, options);
 
     // Same per-shard-count RNG so all three runs see one sequence.
@@ -406,20 +401,13 @@ TEST(DeltaPropertyTest, RandomDeltaSequencesMatchScratchAtEveryShardCount) {
     DeltaRepairStats stats = engine.stats();
     EXPECT_LE(stats.tuples_repaired,
               40 + kSteps + stats.tuples_invalidated);
-    if (run.memo) {
-      // Every repair either replayed or was computed-and-recorded.
-      EXPECT_EQ(stats.memo_hits + stats.memo_misses, stats.tuples_repaired);
-    } else {
-      EXPECT_EQ(stats.memo_hits, 0u);
-      EXPECT_EQ(stats.memo_misses, 0u);
-    }
+    // Every repair either replayed or was computed-and-recorded.
+    EXPECT_EQ(stats.memo_hits + stats.memo_misses, stats.tuples_repaired);
   }
-  // Every shard count and memo mode walked the same sequence to the
-  // same bytes.
+  // Every shard count walked the same sequence to the same bytes.
   for (size_t i = 1; i < final_csv.size(); ++i) {
     EXPECT_EQ(final_csv[0], final_csv[i])
-        << "run " << i << " (shards=" << runs[i].shards << " memo="
-        << runs[i].memo << ") diverged";
+        << "shards=" << shard_counts[i] << " diverged";
   }
 }
 

@@ -48,21 +48,6 @@ TEST_F(DependencyGraphTest, NoSpuriousEdges) {
   }
 }
 
-// Region-invalidation API (incremental engine).
-TEST_F(DependencyGraphTest, RulesReadingMasterAttrs) {
-  DependencyGraph graph(rules_);
-  // Master-side zip is read by phi1..phi3 (Xm) and phi8 (Bm).
-  AttrSet zip;
-  zip.Add(A(rm_, "zip"));
-  EXPECT_EQ(graph.RulesReadingMasterAttrs(zip),
-            (std::vector<size_t>{0, 1, 2, 7}));
-  // DOB and gender feed no rule: a master delta there invalidates nothing.
-  AttrSet irrelevant;
-  irrelevant.Add(A(rm_, "DOB"));
-  irrelevant.Add(A(rm_, "gender"));
-  EXPECT_TRUE(graph.RulesReadingMasterAttrs(irrelevant).empty());
-}
-
 TEST_F(DependencyGraphTest, ReachableFromFollowsEdges) {
   DependencyGraph graph(rules_);
   // phi2 (rhs str) has no successors: closure is itself.
@@ -78,22 +63,6 @@ TEST_F(DependencyGraphTest, ReachableFromFollowsEdges) {
   // phi4/phi5 (type=2 phone rules) are not fed by zip/AC.
   EXPECT_EQ(std::find(closure.begin(), closure.end(), 3u), closure.end());
   EXPECT_TRUE(graph.ReachableFrom({}).empty());
-}
-
-TEST_F(DependencyGraphTest, InvalidatedRegionBoundsMasterDeltas) {
-  DependencyGraph graph(rules_);
-  // A master delta on Mphn can rewrite fn and ln (phi4, phi5) and nothing
-  // else — those rules have no successors.
-  AttrSet mphn;
-  mphn.Add(A(rm_, "Mphn"));
-  AttrSet region = graph.InvalidatedRegion(mphn);
-  EXPECT_EQ(region, Attrs(r_, {"fn", "ln"}));
-  // A delta on master zip reaches everything in the AC/zip cycle.
-  AttrSet zip;
-  zip.Add(A(rm_, "zip"));
-  EXPECT_EQ(graph.InvalidatedRegion(zip),
-            Attrs(r_, {"AC", "str", "city", "zip"}));
-  EXPECT_TRUE(graph.InvalidatedRegion(AttrSet{}).Empty());
 }
 
 TEST_F(DependencyGraphTest, PredecessorsMirrorSuccessors) {

@@ -4,13 +4,16 @@
 
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "relational/key_index.h"
+#include "test_util.h"
 
 namespace certfix {
 namespace {
+
+using testing_fixtures::BruteForceRows;
 
 // ---------------------------------------------------------------------------
 // FlatIdTable
@@ -143,10 +146,58 @@ TEST(FlatIdTableTest, DifferentialAgainstStdMap) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatKeyIndex vs KeyIndex
+// FlatKeyIndex
 
 SchemaPtr S() {
   return Schema::Make("R", std::vector<std::string>{"a", "b", "c"});
+}
+
+Relation MakeRel() {
+  Relation rel(S());
+  EXPECT_TRUE(rel.AppendStrings({"x", "1", "p"}).ok());
+  EXPECT_TRUE(rel.AppendStrings({"x", "2", "q"}).ok());
+  EXPECT_TRUE(rel.AppendStrings({"y", "1", "r"}).ok());
+  return rel;
+}
+
+void ExpectSameRows(const RowSpan& got, const std::vector<size_t>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    // Element-wise: postings are ascending row positions.
+    EXPECT_EQ(got[i], want[i]);
+  }
+}
+
+TEST(FlatKeyIndexTest, SingleAttrLookup) {
+  Relation rel = MakeRel();
+  FlatKeyIndex idx(rel, {0});
+  ExpectSameRows(idx.Lookup({Value::Str("x")}), {0, 1});
+  ExpectSameRows(idx.Lookup({Value::Str("y")}), {2});
+  EXPECT_TRUE(idx.Lookup({Value::Str("zz")}).empty());
+}
+
+TEST(FlatKeyIndexTest, CompositeKey) {
+  Relation rel = MakeRel();
+  FlatKeyIndex idx(rel, {0, 1});
+  ExpectSameRows(idx.Lookup({Value::Str("x"), Value::Str("1")}), {0});
+  EXPECT_TRUE(idx.Lookup({Value::Str("y"), Value::Str("2")}).empty());
+}
+
+TEST(FlatKeyIndexTest, LookupTupleCrossSchema) {
+  Relation rel = MakeRel();
+  FlatKeyIndex idx(rel, {0});
+  // A probing tuple over a different schema whose attr 2 holds "y".
+  SchemaPtr probe_schema =
+      Schema::Make("Q", std::vector<std::string>{"u", "v", "w"});
+  Tuple probe =
+      std::move(Tuple::FromStrings(probe_schema, {"a", "b", "y"})).ValueOrDie();
+  ExpectSameRows(idx.LookupTuple(probe, {2}), {2});
+}
+
+TEST(FlatKeyIndexTest, NumKeys) {
+  Relation rel = MakeRel();
+  EXPECT_EQ(FlatKeyIndex(rel, {0}).num_keys(), 2u);
+  EXPECT_EQ(FlatKeyIndex(rel, {0, 1}).num_keys(), 3u);
 }
 
 /// A random relation with heavy key collisions (small alphabets).
@@ -162,27 +213,26 @@ Relation RandomRel(size_t rows, unsigned seed) {
   return rel;
 }
 
-void ExpectSameRows(const RowSpan& got, const std::vector<size_t>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    // Element-wise: postings order (ascending row) must match KeyIndex.
-    EXPECT_EQ(got[i], want[i]);
-  }
+std::vector<Value> KeyOf(const Relation& rel, size_t row,
+                         const std::vector<AttrId>& attrs) {
+  std::vector<Value> key;
+  for (AttrId a : attrs) key.push_back(rel.Cell(row, a));
+  return key;
 }
 
-TEST(FlatKeyIndexTest, DifferentialAgainstKeyIndex) {
+TEST(FlatKeyIndexTest, DifferentialAgainstBruteForce) {
   for (unsigned seed : {1u, 2u, 3u}) {
     Relation rel = RandomRel(500, seed);
     for (const std::vector<AttrId>& attrs :
          std::vector<std::vector<AttrId>>{{0}, {1, 2}, {0, 1, 2}}) {
-      KeyIndex ref(rel, attrs);
       FlatKeyIndex flat(rel, attrs);
-      EXPECT_EQ(flat.num_keys(), ref.num_keys());
+      std::set<std::vector<Value>> distinct;
       for (size_t i = 0; i < rel.size(); ++i) {
-        std::vector<Value> key;
-        for (AttrId a : attrs) key.push_back(rel.at(i).at(a));
-        ExpectSameRows(flat.Lookup(key), ref.Lookup(key));
+        std::vector<Value> key = KeyOf(rel, i, attrs);
+        ExpectSameRows(flat.Lookup(key), BruteForceRows(rel, attrs, key));
+        distinct.insert(std::move(key));
       }
+      EXPECT_EQ(flat.num_keys(), distinct.size());
       EXPECT_TRUE(flat.Lookup(std::vector<Value>(
                                   attrs.size(), Value::Str("absent")))
                       .empty());
@@ -190,25 +240,23 @@ TEST(FlatKeyIndexTest, DifferentialAgainstKeyIndex) {
   }
 }
 
-TEST(FlatKeyIndexTest, LookupTupleBridgedMatchesKeyIndex) {
+TEST(FlatKeyIndexTest, LookupTupleBridgedMatchesBruteForce) {
   Relation rel = RandomRel(300, 7);
   const std::vector<AttrId> attrs{0, 1};
-  KeyIndex ref(rel, attrs);
   FlatKeyIndex flat(rel, attrs);
   // Probes from a foreign pool, translated through a shared bridge —
   // the shard-worker path. Include values absent from the index pool.
   PoolPtr foreign = std::make_shared<ValuePool>();
-  PoolBridge ref_bridge(foreign.get(), rel.pool().get());
-  PoolBridge flat_bridge(foreign.get(), rel.pool().get());
+  PoolBridge bridge(foreign.get(), rel.pool().get());
   for (size_t i = 0; i < rel.size(); ++i) {
     Tuple probe = rel.at(i).RebasedTo(foreign);
-    ExpectSameRows(flat.LookupTuple(probe, attrs, &flat_bridge),
-                   ref.LookupTuple(probe, attrs, &ref_bridge));
+    ExpectSameRows(flat.LookupTuple(probe, attrs, &bridge),
+                   BruteForceRows(rel, attrs, KeyOf(rel, i, attrs)));
   }
   Tuple miss = std::move(Tuple::FromStrings(S(), {"nope", "nada", "x"}))
                    .ValueOrDie()
                    .RebasedTo(foreign);
-  EXPECT_TRUE(flat.LookupTuple(miss, attrs, &flat_bridge).empty());
+  EXPECT_TRUE(flat.LookupTuple(miss, attrs, &bridge).empty());
 }
 
 TEST(FlatKeyIndexTest, NullValuesAndEmptyRelation) {
@@ -221,37 +269,6 @@ TEST(FlatKeyIndexTest, NullValuesAndEmptyRelation) {
   FlatKeyIndex none(empty, {0});
   EXPECT_TRUE(none.Lookup({Value::Str("x")}).empty());
   EXPECT_EQ(none.num_keys(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// ProbeBatch
-
-TEST(ProbeBatchTest, ResolveMatchesDirectLookup) {
-  Relation rel = RandomRel(400, 11);
-  const std::vector<AttrId> attrs{0, 1};
-  FlatKeyIndex flat(rel, attrs);
-  PoolPtr foreign = std::make_shared<ValuePool>();
-  PoolBridge bridge(foreign.get(), rel.pool().get());
-  std::vector<Tuple> probes;
-  for (size_t i = 0; i < rel.size(); i += 3) {
-    probes.push_back(rel.at(i).RebasedTo(foreign));
-  }
-  probes.push_back(std::move(Tuple::FromStrings(S(), {"nope", "nada", "x"}))
-                       .ValueOrDie()
-                       .RebasedTo(foreign));
-  ProbeBatch batch(&flat);
-  for (const Tuple& t : probes) batch.Add(t, attrs, &bridge);
-  ASSERT_EQ(batch.size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    RowSpan direct = flat.LookupTuple(probes[i], attrs, &bridge);
-    RowSpan staged = batch.Resolve(i);
-    ASSERT_EQ(staged.size(), direct.size());
-    for (size_t j = 0; j < direct.size(); ++j) {
-      EXPECT_EQ(staged[j], direct[j]);
-    }
-  }
-  batch.Clear();
-  EXPECT_EQ(batch.size(), 0u);
 }
 
 }  // namespace

@@ -179,6 +179,43 @@ TEST_F(RuleTest, RuleSetAggregates) {
   EXPECT_FALSE(rules.MentionedAttrs().Contains(A(r_, "item")));
 }
 
+TEST_F(RuleTest, RuleSetClosureChainsRules) {
+  RuleSet rules = SupplierRules(r_, rm_);
+  // zip fires phi1..phi3 (AC, str, city); AC alone enables nothing more
+  // without phn/type.
+  AttrSet zip;
+  zip.Add(A(r_, "zip"));
+  AttrSet want = zip;
+  for (const char* a : {"AC", "str", "city"}) want.Add(A(r_, a));
+  EXPECT_EQ(rules.Closure(zip), want);
+  // {type, AC, phn} fires phi6..phi8 (str, city, zip); type=2 rules
+  // phi4/phi5 have phn and type in their premise too (fn, ln).
+  AttrSet z;
+  for (const char* a : {"type", "AC", "phn"}) z.Add(A(r_, a));
+  AttrSet closure = rules.Closure(z);
+  for (const char* a : {"zip", "str", "city", "fn", "ln"}) {
+    EXPECT_TRUE(closure.Contains(A(r_, a))) << a;
+  }
+  EXPECT_FALSE(closure.Contains(A(r_, "item")));
+  // Nothing fires from the empty set; the full schema is a fixpoint.
+  EXPECT_TRUE(rules.Closure(AttrSet{}).Empty());
+  EXPECT_EQ(rules.Closure(r_->AllAttrs()), r_->AllAttrs());
+}
+
+TEST_F(RuleTest, RuleSetRulesReadingMasterAttrs) {
+  RuleSet rules = SupplierRules(r_, rm_);
+  // Master-side zip is read by phi1..phi3 (Xm) and phi8 (Bm).
+  AttrSet zip;
+  zip.Add(A(rm_, "zip"));
+  EXPECT_EQ(rules.RulesReadingMasterAttrs(zip),
+            (std::vector<size_t>{0, 1, 2, 7}));
+  // DOB and gender feed no rule: a master delta there invalidates nothing.
+  AttrSet irrelevant;
+  irrelevant.Add(A(rm_, "DOB"));
+  irrelevant.Add(A(rm_, "gender"));
+  EXPECT_TRUE(rules.RulesReadingMasterAttrs(irrelevant).empty());
+}
+
 TEST_F(RuleTest, PatternConstants) {
   RuleSet rules = SupplierRules(r_, rm_);
   std::vector<Value> constants = rules.PatternConstants();

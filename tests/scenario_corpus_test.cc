@@ -1,19 +1,22 @@
 // Scenario-corpus harness: every checked-in spec under tests/scenarios/
 // (CERTFIX_SCENARIO_DIR) is generated, serialized to its delta-log bytes,
-// and replayed through all three engines, which must agree byte-for-byte:
+// and replayed through all three engines, which must agree byte-for-byte
+// with a memo-free reference:
 //
-//  * oracle    — positional replay of the log (ApplyDeltaLog) + BatchRepair
-//                from scratch over the final input against the final master,
-//                on the legacy map index with memoization off (maximally
-//                independent of the optimized paths it judges)
+//  * oracle    — positional replay of the log (ApplyDeltaLog), then
+//                ReferenceRepair (tests/test_util.h): RepairOneTuple row by
+//                row over the final input against the final master, with
+//                no memo, no shards and no ShardRepairer
+//  * batch     — BatchRepair over the same final state, at 1/2/8 shards
 //  * delta     — DeltaRepairEngine consuming the log via DeltaLogSource,
-//                across shard counts x {flat, map} index x {memo on, off}
+//                at 1/2/8 shards
 //  * stream    — StreamRepairEngine over the final input rows (point-of-
-//                entry repair of the surviving tuples), across the same
-//                shard/index/memo grid, against the final master
+//                entry repair of the surviving tuples), at 1/2/8 shards
 //
 // The zipf-skew spec additionally asserts the memo earns its keep: its
 // duplicate-heavy stream must replay a sizable fraction of repairs.
+// MasterIndexMatchesBruteForce checks the flat master index itself
+// against a row scan on every spec's final master.
 //
 // Seed shifting: CERTFIX_PROPERTY_SEED offsets every scenario's seed, and
 // each --gtest_repeat iteration shifts it again, so CI soak runs cover
@@ -33,10 +36,14 @@
 #include "relational/csv.h"
 #include "stream/sink.h"
 #include "stream/stream_repair.h"
+#include "test_util.h"
 #include "workload/scenario.h"
 
 namespace certfix {
 namespace {
+
+using testing_fixtures::BruteForceRows;
+using testing_fixtures::ReferenceRepair;
 
 uint64_t SeedShift() {
   static uint64_t base = [] {
@@ -78,125 +85,109 @@ std::string ParamName(const ::testing::TestParamInfo<std::string>& info) {
   return stem;
 }
 
-TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
-  Result<ScenarioSpec> loaded = LoadScenarioSpecFile(GetParam());
+/// A corpus spec, seed-shifted, generated and replayed to its final
+/// input and master.
+struct ReplayedScenario {
+  ScenarioSpec spec;
+  Scenario sc;
+  std::string log;  ///< the delta-log bytes
+  std::vector<std::vector<std::string>> input_rows;  ///< final input
+  Relation final_input;
+  Relation final_master;
+};
+
+void LoadAndReplay(const std::string& path, ReplayedScenario* out) {
+  Result<ScenarioSpec> loaded = LoadScenarioSpecFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ScenarioSpec spec = std::move(loaded).ValueOrDie();
+  out->spec = std::move(loaded).ValueOrDie();
   const uint64_t shift = SeedShift();
-  spec.seed += shift;
-  SCOPED_TRACE("scenario " + spec.name + " seed " +
-               std::to_string(spec.seed) + " (shift " +
+  out->spec.seed += shift;
+  SCOPED_TRACE("scenario " + out->spec.name + " seed " +
+               std::to_string(out->spec.seed) + " (shift " +
                std::to_string(shift) + ")");
 
-  Result<Scenario> sc = GenerateScenario(spec);
+  Result<Scenario> sc = GenerateScenario(out->spec);
   ASSERT_TRUE(sc.ok()) << sc.status();
-  const std::string log = DeltaLogToString(*sc);
+  out->sc = std::move(sc).ValueOrDie();
+  out->log = DeltaLogToString(out->sc);
 
-  // Oracle: positional replay of the log bytes, then from-scratch batch
-  // repair of the final input against the final master.
-  std::vector<std::vector<std::string>> input_rows = RenderRows(sc->initial);
-  std::vector<std::vector<std::string>> master_rows = RenderRows(sc->master);
-  Status replayed = ApplyDeltaLog(sc->deltas, &input_rows, &master_rows);
+  // Positional replay of the log, the oracle semantics.
+  out->input_rows = RenderRows(out->sc.initial);
+  std::vector<std::vector<std::string>> master_rows =
+      RenderRows(out->sc.master);
+  Status replayed =
+      ApplyDeltaLog(out->sc.deltas, &out->input_rows, &master_rows);
   ASSERT_TRUE(replayed.ok()) << replayed;
-  Result<Relation> final_input = RelationFromRows(sc->schema, input_rows);
-  Result<Relation> final_master = RelationFromRows(sc->schema, master_rows);
+  Result<Relation> final_input =
+      RelationFromRows(out->sc.schema, out->input_rows);
+  Result<Relation> final_master =
+      RelationFromRows(out->sc.schema, master_rows);
   ASSERT_TRUE(final_input.ok()) << final_input.status();
   ASSERT_TRUE(final_master.ok()) << final_master.status();
+  out->final_input = std::move(final_input).ValueOrDie();
+  out->final_master = std::move(final_master).ValueOrDie();
+}
 
-  // The oracle deliberately avoids everything under test: legacy map
-  // index, no memoization, single-threaded by default.
-  MasterIndex oracle_index(sc->rules, *final_master, IndexKind::kMap);
-  Saturator oracle_sat(sc->rules, *final_master, oracle_index);
-  RepairOptions oracle_options;
-  oracle_options.use_memo = false;
-  BatchRepair oracle(oracle_sat, oracle_options);
-  Result<BatchRepairResult> oracle_result =
-      oracle.RepairChecked(*final_input, sc->trusted);
-  ASSERT_TRUE(oracle_result.ok()) << oracle_result.status();
-  const std::string want = CsvBytes(oracle_result->repaired);
+TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
+  ReplayedScenario r;
+  ASSERT_NO_FATAL_FAILURE(LoadAndReplay(GetParam(), &r));
+  const Scenario& sc = r.sc;
+  SCOPED_TRACE("scenario " + r.spec.name + " seed " +
+               std::to_string(r.spec.seed));
 
-  // The flat-index saturator the stream engine's flat configs run on.
-  MasterIndex flat_index(sc->rules, *final_master, IndexKind::kFlat);
-  Saturator flat_sat(sc->rules, *final_master, flat_index);
+  MasterIndex index(sc.rules, r.final_master);
+  Saturator sat(sc.rules, r.final_master, index);
+  const std::string want =
+      CsvBytes(ReferenceRepair(sat, r.final_input, sc.trusted));
 
-  const bool is_zipf = spec.name.find("zipf") != std::string::npos;
+  for (size_t shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
 
-  struct Config {
-    IndexKind kind;
-    bool memo;
-    std::vector<size_t> shard_counts;
-  };
-  // The default configuration gets the full shard sweep; the A/B legs
-  // pin the corners (inline path with memo, workers without, ...).
-  const std::vector<Config> configs = {
-      {IndexKind::kFlat, true, {1, 2, 8}},
-      {IndexKind::kFlat, false, {1, 8}},
-      {IndexKind::kMap, true, {1, 8}},
-      {IndexKind::kMap, false, {8}},
-  };
-  for (const Config& config : configs) {
-    for (size_t shards : config.shard_counts) {
-      SCOPED_TRACE("index " +
-                   std::string(config.kind == IndexKind::kFlat ? "flat"
-                                                               : "map") +
-                   " memo " + (config.memo ? "on" : "off") + " shards " +
-                   std::to_string(shards));
+    // Batch engine over the final state.
+    {
+      RepairOptions options;
+      options.num_threads = shards;
+      BatchRepairResult batch =
+          BatchRepair(sat, options).Repair(r.final_input, sc.trusted);
+      EXPECT_EQ(CsvBytes(batch.repaired), want);
+      EXPECT_EQ(batch.memo_hits + batch.memo_misses, r.final_input.size());
+    }
 
-      // Delta engine: consume the serialized log bytes via DeltaLogSource.
-      {
-        DeltaRepairOptions options;
-        options.num_shards = shards;
-        options.index_kind = config.kind;
-        options.use_memo = config.memo;
-        DeltaRepairEngine engine(sc->rules, sc->master, sc->trusted,
-                                 options);
-        ASSERT_TRUE(engine.precheck_status().ok())
-            << engine.precheck_status();
-        ASSERT_TRUE(engine.Load(sc->initial).ok());
-        std::istringstream in(log);
-        DeltaLogSource source(sc->schema, sc->schema, in);
-        Status st = engine.ApplyAll(&source);
+    // Delta engine: consume the serialized log bytes via DeltaLogSource.
+    {
+      DeltaRepairOptions options;
+      options.num_shards = shards;
+      DeltaRepairEngine engine(sc.rules, sc.master, sc.trusted, options);
+      ASSERT_TRUE(engine.precheck_status().ok()) << engine.precheck_status();
+      ASSERT_TRUE(engine.Load(sc.initial).ok());
+      std::istringstream in(r.log);
+      DeltaLogSource source(sc.schema, sc.schema, in);
+      Status st = engine.ApplyAll(&source);
+      ASSERT_TRUE(st.ok()) << st;
+      EXPECT_EQ(CsvBytes(engine.SnapshotInput()), CsvBytes(r.final_input));
+      EXPECT_EQ(CsvBytes(engine.SnapshotRepaired()), want);
+      // Every repair is either a replay or a computation.
+      DeltaRepairStats stats = engine.stats();
+      EXPECT_EQ(stats.memo_hits + stats.memo_misses, stats.tuples_repaired);
+    }
+
+    // Stream engine: point-of-entry repair of the final input rows.
+    {
+      StreamOptions options;
+      options.num_shards = shards;
+      std::ostringstream out;
+      CsvStreamSink sink(sc.schema, out);
+      StreamRepairEngine engine(sat, sc.trusted, &sink, options);
+      ASSERT_TRUE(engine.precheck_status().ok()) << engine.precheck_status();
+      for (const auto& fields : r.input_rows) {
+        Status st = engine.PushStrings(fields);
         ASSERT_TRUE(st.ok()) << st;
-        EXPECT_EQ(CsvBytes(engine.SnapshotInput()), CsvBytes(*final_input));
-        EXPECT_EQ(CsvBytes(engine.SnapshotRepaired()), want);
-        DeltaRepairStats stats = engine.stats();
-        if (config.memo) {
-          // Every repair is either a replay or a computation.
-          EXPECT_EQ(stats.memo_hits + stats.memo_misses,
-                    stats.tuples_repaired);
-        } else {
-          EXPECT_EQ(stats.memo_hits, 0u);
-          EXPECT_EQ(stats.memo_misses, 0u);
-        }
       }
-
-      // Stream engine: point-of-entry repair of the final input rows.
-      {
-        StreamOptions options;
-        options.num_shards = shards;
-        options.use_memo = config.memo;
-        std::ostringstream out;
-        CsvStreamSink sink(sc->schema, out);
-        const Saturator& sat =
-            config.kind == IndexKind::kFlat ? flat_sat : oracle_sat;
-        StreamRepairEngine engine(sat, sc->trusted, &sink, options);
-        ASSERT_TRUE(engine.precheck_status().ok())
-            << engine.precheck_status();
-        for (const auto& fields : input_rows) {
-          Status st = engine.PushStrings(fields);
-          ASSERT_TRUE(st.ok()) << st;
-        }
-        StreamSnapshot snapshot = engine.Finish();
-        EXPECT_EQ(snapshot.tuples_out, input_rows.size());
-        EXPECT_EQ(out.str(), want);
-        if (config.memo) {
-          EXPECT_EQ(snapshot.memo_hits + snapshot.memo_misses,
-                    snapshot.tuples_out);
-        } else {
-          EXPECT_EQ(snapshot.memo_hits, 0u);
-          EXPECT_EQ(snapshot.memo_misses, 0u);
-        }
-      }
+      StreamSnapshot snapshot = engine.Finish();
+      EXPECT_EQ(snapshot.tuples_out, r.input_rows.size());
+      EXPECT_EQ(out.str(), want);
+      EXPECT_EQ(snapshot.memo_hits + snapshot.memo_misses,
+                snapshot.tuples_out);
     }
   }
 
@@ -204,23 +195,78 @@ TEST_P(ScenarioCorpusTest, EnginesAgreeByteForByte) {
   // stream a second time through the same engine must hit the shard
   // memos for every repeated row (identical rows route to the same
   // shard, and its memo key is the row's full relevant projection).
-  if (is_zipf && !input_rows.empty()) {
+  const bool is_zipf = r.spec.name.find("zipf") != std::string::npos;
+  if (is_zipf && !r.input_rows.empty()) {
     StreamOptions options;
     options.num_shards = 4;
     NullSink sink;
-    StreamRepairEngine engine(flat_sat, sc->trusted, &sink, options);
+    StreamRepairEngine engine(sat, sc.trusted, &sink, options);
     ASSERT_TRUE(engine.precheck_status().ok()) << engine.precheck_status();
     for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& fields : input_rows) {
+      for (const auto& fields : r.input_rows) {
         Status st = engine.PushStrings(fields);
         ASSERT_TRUE(st.ok()) << st;
       }
     }
     StreamSnapshot snapshot = engine.Finish();
     EXPECT_EQ(snapshot.memo_hits + snapshot.memo_misses,
-              2 * input_rows.size());
-    EXPECT_GE(snapshot.memo_hits, input_rows.size())
+              2 * r.input_rows.size());
+    EXPECT_GE(snapshot.memo_hits, r.input_rows.size())
         << "second pass over identical rows should replay from the memo";
+  }
+}
+
+// The flat master index against a row scan: for every rule and every
+// initial-input and final-master row, probed from a foreign pool through
+// a PoolBridge (the shard path), Candidates must be exactly the matching
+// master rows (ascending) and RhsValues the distinct tm[Bm] ids over
+// them in first-occurrence order, each with its first row.
+TEST_P(ScenarioCorpusTest, MasterIndexMatchesBruteForce) {
+  ReplayedScenario r;
+  ASSERT_NO_FATAL_FAILURE(LoadAndReplay(GetParam(), &r));
+  const Relation& dm = r.final_master;
+  MasterIndex index(r.sc.rules, dm);
+
+  PoolPtr probe_pool = std::make_shared<ValuePool>();
+  std::vector<Tuple> probes;
+  const std::vector<const Relation*> probe_sources = {&r.sc.initial, &dm};
+  for (const Relation* rel : probe_sources) {
+    for (size_t i = 0; i < rel->size(); ++i) {
+      probes.push_back(rel->at(i).RebasedTo(probe_pool));
+    }
+  }
+  PoolBridge bridge(probe_pool.get(), dm.pool().get());
+
+  for (size_t k = 0; k < r.sc.rules.size(); ++k) {
+    const EditingRule& rule = r.sc.rules.at(k);
+    const IdColumn& bm = dm.Column(rule.rhsm());
+    for (size_t p = 0; p < probes.size(); ++p) {
+      SCOPED_TRACE("rule " + rule.name() + " probe " + std::to_string(p));
+      std::vector<Value> key;
+      for (AttrId a : rule.lhs()) key.push_back(probes[p].at(a));
+      const std::vector<size_t> rows = BruteForceRows(dm, rule.lhsm(), key);
+
+      const RowSpan got = index.Candidates(k, probes[p], &bridge);
+      ASSERT_EQ(std::vector<size_t>(got.begin(), got.end()), rows);
+
+      std::vector<std::pair<ValueId, size_t>> want_rhs;
+      for (size_t row : rows) {
+        const bool seen = std::any_of(
+            want_rhs.begin(), want_rhs.end(),
+            [&](const std::pair<ValueId, size_t>& e) {
+              return e.first == bm[row];
+            });
+        if (!seen) want_rhs.emplace_back(bm[row], row);
+      }
+      const MasterIndex::RhsSummary& rhs =
+          index.RhsValues(k, probes[p], &bridge);
+      ASSERT_EQ(rhs.size(), want_rhs.size());
+      for (size_t v = 0; v < rhs.size(); ++v) {
+        EXPECT_EQ(rhs[v].id, want_rhs[v].first);
+        EXPECT_EQ(rhs[v].row, want_rhs[v].second);
+        EXPECT_EQ(rhs[v].value, dm.Cell(want_rhs[v].second, rule.rhsm()));
+      }
+    }
   }
 }
 

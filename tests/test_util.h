@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/repair_tuple.h"
 #include "relational/relation.h"
 #include "rules/rule_parser.h"
 #include "rules/rule_set.h"
@@ -120,6 +121,39 @@ inline AttrId A(const SchemaPtr& schema, const std::string& name) {
   Result<AttrId> id = schema->IndexOf(name);
   assert(id.ok());
   return *id;
+}
+
+/// Brute-force index oracle: the rows of `rel` whose projection on
+/// `attrs` equals `key` (positionally), ascending.
+inline std::vector<size_t> BruteForceRows(const Relation& rel,
+                                          const std::vector<AttrId>& attrs,
+                                          const std::vector<Value>& key) {
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    bool match = true;
+    for (size_t k = 0; k < attrs.size() && match; ++k) {
+      match = rel.Cell(i, attrs[k]) == key[k];
+    }
+    if (match) rows.push_back(i);
+  }
+  return rows;
+}
+
+/// Memo-free end-to-end repair oracle: RepairOneTuple row by row, with no
+/// memo, no shards and no ShardRepairer; a conflicting row keeps its
+/// input. The engines must match its CSV bytes.
+inline Relation ReferenceRepair(const Saturator& sat, const Relation& data,
+                                AttrSet trusted) {
+  Relation out(data.schema());
+  const AttrSet all = data.schema()->AllAttrs();
+  for (size_t i = 0; i < data.size(); ++i) {
+    Tuple row = data.at(i);
+    TupleRepair repair = RepairOneTuple(sat, row, trusted, all);
+    Status st = out.Append(repair.report.conflicting() ? row : repair.fixed);
+    assert(st.ok());
+    (void)st;
+  }
+  return out;
 }
 
 }  // namespace testing_fixtures

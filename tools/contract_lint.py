@@ -23,10 +23,9 @@ Checks (each line-anchored, reported as file:line):
   include-guard   Headers under src/ use CERTFIX_<PATH>_H_ guards.
 
   idkey-map       std::unordered_map<IdKey, ...> is allowed only inside
-                  the index implementations (flat_key_index.{h,cc} and
-                  the legacy key_index.h) — hot-path code defaults to
-                  FlatIdTable/FlatKeyIndex; cold build-side groupings
-                  carry an explicit waiver.
+                  the index implementation (flat_key_index.{h,cc}) —
+                  hot-path code uses FlatIdTable/FlatKeyIndex; cold
+                  build-side groupings carry an explicit waiver.
 
   stderr          Raw std::cerr / fprintf(stderr, ...) is allowed only
                   in util/logging.cc (the single sink) and src/tools/
@@ -50,8 +49,7 @@ import sys
 THREAD_ALLOWED = ("src/util/", "src/stream/shard_runtime.h")
 POOL_ALLOWED = ("src/relational/",)
 IDKEY_ALLOWED = ("src/relational/flat_key_index.h",
-                 "src/relational/flat_key_index.cc",
-                 "src/relational/key_index.h")
+                 "src/relational/flat_key_index.cc")
 STDERR_ALLOWED = ("src/util/logging.cc", "src/tools/")
 
 WAIVER = re.compile(r"//\s*contract-lint:\s*allow\(([\w-]+)\)\s+\S")
