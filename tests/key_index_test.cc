@@ -1,6 +1,13 @@
-#include "relational/key_index.h"
+// Point lookups on the master key index (FlatKeyIndex) over a small fixed
+// relation: single and composite keys, cross-schema tuple probes and key
+// counts. The randomized differential and pool-bridged cases live in
+// flat_key_index_test.cc.
+#include "relational/flat_key_index.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 namespace certfix {
 namespace {
@@ -17,51 +24,56 @@ Relation MakeRel() {
   return rel;
 }
 
+void ExpectSameRows(const RowSpan& got, const std::vector<size_t>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    // Element-wise: postings are ascending row positions.
+    EXPECT_EQ(got[i], want[i]);
+  }
+}
+
 TEST(KeyIndexTest, SingleAttrLookup) {
   Relation rel = MakeRel();
-  KeyIndex idx(rel, {0});
-  EXPECT_EQ(idx.Lookup({Value::Str("x")}).size(), 2u);
-  EXPECT_EQ(idx.Lookup({Value::Str("y")}), (std::vector<size_t>{2}));
+  FlatKeyIndex idx(rel, {0});
+  ExpectSameRows(idx.Lookup({Value::Str("x")}), {0, 1});
+  ExpectSameRows(idx.Lookup({Value::Str("y")}), {2});
   EXPECT_TRUE(idx.Lookup({Value::Str("zz")}).empty());
 }
 
 TEST(KeyIndexTest, CompositeKey) {
   Relation rel = MakeRel();
-  KeyIndex idx(rel, {0, 1});
-  EXPECT_EQ(idx.Lookup({Value::Str("x"), Value::Str("1")}),
-            (std::vector<size_t>{0}));
+  FlatKeyIndex idx(rel, {0, 1});
+  ExpectSameRows(idx.Lookup({Value::Str("x"), Value::Str("1")}), {0});
   EXPECT_TRUE(idx.Lookup({Value::Str("y"), Value::Str("2")}).empty());
 }
 
 TEST(KeyIndexTest, LookupTupleCrossSchema) {
   Relation rel = MakeRel();
-  KeyIndex idx(rel, {0});
+  FlatKeyIndex idx(rel, {0});
   // A probing tuple over a different schema whose attr 2 holds "y".
   SchemaPtr probe_schema =
       Schema::Make("Q", std::vector<std::string>{"u", "v", "w"});
   Tuple probe =
       std::move(Tuple::FromStrings(probe_schema, {"a", "b", "y"})).ValueOrDie();
-  EXPECT_EQ(idx.LookupTuple(probe, {2}), (std::vector<size_t>{2}));
+  ExpectSameRows(idx.LookupTuple(probe, {2}), {2});
 }
 
 TEST(KeyIndexTest, NumKeys) {
   Relation rel = MakeRel();
-  KeyIndex idx(rel, {0});
-  EXPECT_EQ(idx.num_keys(), 2u);
-  KeyIndex idx2(rel, {0, 1});
-  EXPECT_EQ(idx2.num_keys(), 3u);
+  EXPECT_EQ(FlatKeyIndex(rel, {0}).num_keys(), 2u);
+  EXPECT_EQ(FlatKeyIndex(rel, {0, 1}).num_keys(), 3u);
 }
 
 TEST(KeyIndexTest, NullValuesIndexed) {
   Relation rel(S());
   ASSERT_TRUE(rel.AppendStrings({"", "1", "p"}).ok());
-  KeyIndex idx(rel, {0});
+  FlatKeyIndex idx(rel, {0});
   EXPECT_EQ(idx.Lookup({Value()}).size(), 1u);
 }
 
 TEST(KeyIndexTest, EmptyRelation) {
   Relation rel(S());
-  KeyIndex idx(rel, {0});
+  FlatKeyIndex idx(rel, {0});
   EXPECT_TRUE(idx.Lookup({Value::Str("x")}).empty());
   EXPECT_EQ(idx.num_keys(), 0u);
 }
